@@ -580,9 +580,9 @@ def _run_dephasing(s: Scenario):
     pop_drift = 0.0
     for t, state in zip(t_grid, trajectory):
         m = state.matrix
-        coh = model.coherence(rho0, float(t), quad)
         gamma = model.dephasing_rate(float(t), quad)
         big_gamma = model.decoherence_function(float(t), quad)
+        coh = model._coherence_from(rho0, float(t), big_gamma)
         trace_drift = abs(complex(np.trace(m)) - 1.0)
         rows.append(
             [

@@ -232,10 +232,15 @@ class DephasingModel:
             raise ValidationError("dephasing coherence needs a 2x2 state")
         if t < 0:
             raise ValidationError("t must be >= 0")
+        if rho0.matrix[0, 1] == 0:
+            return 0.0j
+        return self._coherence_from(rho0, t, self.decoherence_function(t, quad))
+
+    def _coherence_from(self, rho0: DensityMatrix, t: float, gamma_int: float) -> complex:
+        """:meth:`coherence` given Gamma(t), for callers that already hold it."""
         c0 = complex(rho0.matrix[0, 1])
         if c0 == 0:
             return 0.0j
-        gamma_int = self.decoherence_function(t, quad)
         return c0 * math.exp(-gamma_int) * np.exp(-2j * self.omega0 * t)
 
     def generator_at(self, t: float, quad: QuadratureSpec | None = None) -> GkslGenerator:

@@ -10,6 +10,11 @@ with Hermitian H and a positive semidefinite coefficient matrix ``a``
 column-stacking convention, vec(A X B) = (B^T kron A) vec(X); the Choi
 matrix is the unnormalized C = sum_ij E_ij kron Map(E_ij), positive
 semidefinite exactly when the map is completely positive.
+
+A generator whose Hamiltonian and Lindblad operators are all diagonal acts
+entrywise, L(rho) = K o rho with a d x d kernel K, so its superoperator is
+diagonal too; ``integrate_constant`` integrates such generators through K
+instead of building the d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
@@ -275,15 +280,51 @@ def propagate_semigroup(gen: GkslGenerator, rho0: DensityMatrix, t: float) -> De
     return DensityMatrix(prop.apply(rho0.matrix), atol=1e-8)
 
 
+def _entrywise_kernel(gen: GkslGenerator) -> np.ndarray | None:
+    """The d x d kernel K with L(rho) = K o rho (entrywise product), or None
+    unless the Hamiltonian and every Lindblad operator are exactly diagonal.
+
+    With L_j = diag(l_j), M = l^T a l^* gives M_xy = sum_jk a_jk l_j[x]
+    l_k[y]^*, and K_xy = -i (h_x - h_y) + M_xy - (M_xx + M_yy) / 2.  Taking
+    the anticommutator term from diag(M) makes K_xx exactly 0, so
+    populations are left bit-for-bit unchanged.
+    """
+    d = gen.dim
+    off_diagonal = ~np.eye(d, dtype=bool)
+    if any(np.count_nonzero(m[off_diagonal])
+           for m in (gen.hamiltonian, *gen.lindblad_ops)):
+        return None
+    h = np.diag(gen.hamiltonian)
+    l = np.array([np.diag(op) for op in gen.lindblad_ops], dtype=complex)
+    l = l.reshape(-1, d)
+    m = l.T @ gen.kossakowski @ l.conj()
+    m_diag = np.diag(m)
+    return (-1j * (h[:, None] - h[None, :]) + m
+            - 0.5 * (m_diag[:, None] + m_diag[None, :]))
+
+
 def integrate_constant(
     gen: GkslGenerator,
     rho0: DensityMatrix,
     t_grid,
     spec: OdeSpec | None = None,
 ) -> list[DensityMatrix]:
-    """ODE-integrate a time-independent generator along the grid."""
+    """ODE-integrate a time-independent generator along the grid.
+
+    A generator with diagonal Hamiltonian and Lindblad operators is
+    integrated entrywise through its d x d kernel, any other through its
+    d^2 x d^2 superoperator.
+    """
+    if rho0.dim != gen.dim:
+        raise DimensionMismatchError(
+            f"state dimension {rho0.dim} != generator dimension {gen.dim}"
+        )
+    kernel = _entrywise_kernel(gen)
+    if kernel is not None:
+        k = vec(kernel)
+        return _integrate(lambda t, v: k * v, rho0, t_grid, spec)
     s = to_superoperator(gen).matrix
-    return _integrate_superop(lambda t: s, rho0, t_grid, spec)
+    return _integrate(lambda t, v: s @ v, rho0, t_grid, spec)
 
 
 def integrate_time_dependent(
@@ -294,17 +335,14 @@ def integrate_time_dependent(
 ) -> list[DensityMatrix]:
     """Integrate d rho/dt = L(t) rho, rebuilding the generator at every
     internal Runge-Kutta stage (no interpolation of rates)."""
-    return _integrate_superop(
-        lambda t: to_superoperator(gen_at(t)).matrix, rho0, t_grid, spec
+    return _integrate(
+        lambda t, v: to_superoperator(gen_at(t)).matrix @ v, rho0, t_grid, spec
     )
 
 
-def _integrate_superop(superop_at, rho0, t_grid, spec) -> list[DensityMatrix]:
+def _integrate(rhs, rho0, t_grid, spec) -> list[DensityMatrix]:
+    """Integrate d vec(rho)/dt = rhs(t, vec(rho)) and check the invariants."""
     d = rho0.dim
-
-    def rhs(t, v):
-        return superop_at(t) @ v
-
     states = numcore.ode_solve(rhs, vec(rho0.matrix), t_grid, spec)
     out = []
     for row in states:
@@ -325,28 +363,29 @@ def choi_of_propagator(prop: Superoperator | Callable[[np.ndarray], np.ndarray],
     """Choi matrix C = sum_ij E_ij kron Map(E_ij) of a map.
 
     ``prop`` is either a Superoperator or a callable acting on d x d
-    matrices (then ``dim`` is required).
+    matrices (then ``dim`` is required), which is first turned into its
+    superoperator by applying it once to each E_ij.  C is a reshuffle of
+    the superoperator S: C[i d + a, j d + b] = Map(E_ij)[a, b]
+    = S[a + d b, i + d j].
     """
-    if isinstance(prop, Superoperator):
-        d = prop.dim
-        action = prop.apply
-    else:
+    if not isinstance(prop, Superoperator):
         if dim is None:
             raise ValidationError("dim is required for a callable map")
-        d = dim
-        action = prop
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            mapped = np.asarray(action(e_ij), dtype=complex)
-            if mapped.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"map returned shape {mapped.shape}, expected {(d, d)}"
-                )
-            c += np.kron(e_ij, mapped)
-    return ChoiMatrix(c)
+        columns = []
+        for j in range(dim):
+            for i in range(dim):
+                e_ij = np.zeros((dim, dim), dtype=complex)
+                e_ij[i, j] = 1.0
+                mapped = np.asarray(prop(e_ij), dtype=complex)
+                if mapped.shape != (dim, dim):
+                    raise DimensionMismatchError(
+                        f"map returned shape {mapped.shape}, expected {(dim, dim)}"
+                    )
+                columns.append(vec(mapped))
+        prop = Superoperator(np.column_stack(columns))
+    d = prop.dim
+    c = prop.matrix.reshape((d, d, d, d), order="F").transpose(2, 0, 3, 1)
+    return ChoiMatrix(c.reshape(d * d, d * d))
 
 
 def is_completely_positive(choi: ChoiMatrix, tol: float = 1e-9) -> CpCheckResult:

@@ -6,7 +6,6 @@ immutable values, safe to share between threads.
 """
 
 from .linalg import (
-    EXP_NORM_BOUND,
     as_square_complex,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -24,7 +23,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "EXP_NORM_BOUND",
     "DEFAULT_ODE",
     "DEFAULT_QUADRATURE",
     "OSC_THRESHOLD",

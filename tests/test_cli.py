@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_run_collisional_oracle(tmp_path):
     assert report.cross_check_residuals["exact_vs_discretized_generator"] < 1e-7
 
 
+def test_run_collisional_n64_is_small_and_keeps_populations(tmp_path):
+    raw = collisional_scenario(tmp_path)
+    raw["parameters"]["grid"] = list(np.linspace(0.0, 10.0, 64))
+    s = validate_scenario(raw)
+    tracemalloc.start()
+    try:
+        _, _, report = run_scenario(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert report.cross_check_residuals["diagonal_drift"] == 0.0
+    assert peak < 50e6
+
+
 def test_run_gksl_unitary_keeps_coherence_magnitude(tmp_path):
     s = validate_scenario(gksl_scenario(tmp_path))
     header, rows, report = run_scenario(s)
@@ -281,6 +297,20 @@ def test_check_cp_gksl(tmp_path):
     report = check_cp(s, [0.0, 1.0, 10.0])
     assert report.passed
     assert report.min_choi_eigenvalue >= -1e-10
+    assert report.trace_drift_max <= 1e-10
+
+
+def test_check_cp_strongly_damped_qubit(tmp_path):
+    # exp(10 L) has 1-norm ~800 as a generator input, yet is a finite
+    # CPTP map with minimum Choi eigenvalue 0.
+    raw = gksl_scenario(tmp_path)
+    raw["parameters"]["lindblad_ops"] = [
+        [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    ]
+    raw["parameters"]["kossakowski"] = [[[40.0, 0.0]]]
+    report = check_cp(validate_scenario(raw), [10.0])
+    assert report.passed
+    assert report.min_choi_eigenvalue >= -1e-8
     assert report.trace_drift_max <= 1e-10
 
 

@@ -29,6 +29,7 @@ from decohere.errors import (
     NotHermitianError,
     ValidationError,
 )
+from decohere.gksl import _entrywise_kernel
 
 PLUS = DensityMatrix.pure([1.0, 1.0])
 
@@ -244,6 +245,54 @@ def test_integrate_drift_stays_small():
         assert np.abs(state.matrix - state.matrix.conj().T).max() <= 1e-8
 
 
+def random_diagonal_generator(rng, d, m):
+    """Diagonal H and Lindblad operators with norms spread over [0.3, 3],
+    coupled by a dense (non-diagonal) PSD Kossakowski matrix."""
+    h = np.diag(rng.normal(size=d)) * rng.uniform(0.3, 3.0)
+    ops = tuple(
+        np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) * rng.uniform(0.3, 3.0)
+        for _ in range(m)
+    )
+    b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return GkslGenerator(h, ops, b @ b.conj().T)
+
+
+def test_entrywise_kernel_is_superoperator_diagonal():
+    rng = np.random.default_rng(71)
+    for d in range(1, 9):
+        for m in range(4):
+            gen = random_diagonal_generator(rng, d, m)
+            s = to_superoperator(gen).matrix
+            kernel = _entrywise_kernel(gen)
+            assert kernel.shape == (d, d)
+            scale = max(1.0, float(np.abs(s).max()))
+            assert np.abs(vec(kernel) - np.diag(s)).max() <= 1e-14 * scale
+            assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
+            assert np.count_nonzero(np.diag(kernel)) == 0
+
+
+def test_entrywise_kernel_none_for_non_diagonal_generators():
+    rng = np.random.default_rng(73)
+    assert _entrywise_kernel(random_generator(rng, 3, 2)) is None
+    diag_h = np.diag([1.0, -1.0])
+    assert _entrywise_kernel(GkslGenerator(SIGMA_X, (SIGMA_Z,), [[1.0]])) is None
+    assert _entrywise_kernel(
+        GkslGenerator(diag_h, (SIGMA_Z, SIGMA_X), np.eye(2))
+    ) is None
+    assert _entrywise_kernel(GkslGenerator(diag_h)) is not None
+
+
+def test_integrate_constant_entrywise_matches_semigroup():
+    rng = np.random.default_rng(79)
+    gen = random_diagonal_generator(rng, 5, 3)
+    rho0 = random_density_matrix(rng, 5)
+    t_grid = np.linspace(0.0, 1.0, 5)
+    for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid)):
+        reference = propagate_semigroup(gen, rho0, float(t))
+        assert np.abs(state.matrix - reference.matrix).max() < 1e-7
+        assert np.array_equal(np.diag(state.matrix), np.diag(rho0.matrix))
+
+
 # ----------------------------------------------------------------------
 # Choi / complete positivity
 # ----------------------------------------------------------------------
@@ -290,6 +339,22 @@ def test_choi_of_semigroup_is_psd():
             choi = choi_of_propagator(semigroup_propagator(gen, t))
             result = is_completely_positive(choi, tol=1e-9)
             assert result.passed, f"d={d} t={t}: min eig {result.min_eigenvalue}"
+
+
+def test_choi_reshuffle_equals_map_loop():
+    rng = np.random.default_rng(83)
+    for d in (2, 5, 8, 12):
+        prop = Superoperator(
+            rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        )
+        reference = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                e_ij = np.zeros((d, d), dtype=complex)
+                e_ij[i, j] = 1.0
+                reference += np.kron(e_ij, prop.apply(e_ij))
+        assert np.array_equal(choi_of_propagator(prop).matrix, reference)
+        assert np.array_equal(choi_of_propagator(prop.apply, dim=d).matrix, reference)
 
 
 def test_is_cp_requires_hermitian_choi():
@@ -357,3 +422,5 @@ def test_dimension_mismatch_in_apply():
     gen = dephasing_generator(1.0)
     with pytest.raises(DimensionMismatchError):
         apply_generator(gen, np.eye(3) / 3.0)
+    with pytest.raises(DimensionMismatchError):
+        integrate_constant(gen, DensityMatrix.maximally_mixed(3), [0.0, 1.0])
