@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import collisional as col
 from .dephasing import BathSpec, DephasingModel, SpectralDensity
-from .errors import DecohereError, ParseError, ValidationError
+from .errors import DecohereError, NegativeRateWarning, ParseError, ValidationError
 from .gksl import (
     DensityMatrix,
     GkslGenerator,
@@ -559,9 +560,27 @@ def _run_dephasing(s: Scenario):
     t_grid = s.time_grid()
     quad = s.quadrature
 
-    trajectory = integrate_time_dependent(
-        lambda t: model.generator_at(t, quad), rho0, t_grid, s.ode
-    )
+    # generator_at warns at every Runge-Kutta stage with a negative rate;
+    # the run reports them as one warning.
+    negative_at = []
+
+    def generator_at(t):
+        gen = model.generator_at(t, quad)
+        if gen.kossakowski[0, 0].real < 0:
+            negative_at.append(t)
+        return gen
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeRateWarning)
+        trajectory = integrate_time_dependent(generator_at, rho0, t_grid, s.ode)
+    if negative_at:
+        warnings.warn(
+            f"dephasing rate was negative at {len(negative_at)} generator "
+            f"evaluations, first at t = {min(negative_at)}: the generator is "
+            "not GKSL there",
+            NegativeRateWarning,
+            stacklevel=2,
+        )
 
     header = [
         "t",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +37,11 @@ from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator
 from .numcore import (
     DEFAULT_QUADRATURE,
     OSC_THRESHOLD,
+    PanelRule,
     QuadratureSpec,
     integrate_adaptive,
     integrate_oscillatory,
+    integrate_panels,
 )
 
 # Outer spec for the nested time-domain cross-check integrals: tight
@@ -92,10 +95,23 @@ class BathSpec:
         return math.isinf(self.beta)
 
     def thermal_factor(self, omega: float) -> float:
-        """coth(beta*omega/2), or 1 exactly at zero temperature."""
+        """coth(beta*omega/2), or 1 exactly at zero temperature; the pole
+        of coth gives +inf at omega = 0."""
         if self.zero_temperature:
             return 1.0
+        if omega == 0.0:
+            return math.inf
         return 1.0 / math.tanh(0.5 * self.beta * omega)
+
+    def thermal_weight(self, omega: np.ndarray) -> np.ndarray:
+        """omega * coth(beta*omega/2) on an array, taking its limit 2/beta
+        at omega = 0 (omega itself at zero temperature)."""
+        omega = np.asarray(omega, dtype=float)
+        if self.zero_temperature:
+            return omega
+        x = 0.5 * self.beta * omega
+        ratio = np.divide(x, np.tanh(x), out=np.ones_like(x), where=x != 0)
+        return (2.0 / self.beta) * ratio
 
 
 @dataclass(frozen=True)
@@ -114,6 +130,54 @@ class DephasingModel:
         """J(w) * coth(beta w / 2), the temperature-dressed spectral weight."""
         return self.spectral(w) * self.bath.thermal_factor(w)
 
+    # -- spectral integrals ------------------------------------------------
+    #
+    # Each integral over w runs first through the Gauss panel rule, on the
+    # same truncated range the QUADPACK route uses, and falls back to that
+    # route when the rule's error estimate misses the tolerance.
+
+    @cached_property
+    def _panel_rule(self) -> PanelRule:
+        """Gauss rules for the integrands' power law at w = 0:
+        J(w) coth(beta w/2) ~ w^(s-1) at finite temperature, J(w) ~ w^s at
+        T = 0.  Built once per model."""
+        return PanelRule(self.spectral.s - (0.0 if self.bath.zero_temperature else 1.0))
+
+    def _envelope(self, w: np.ndarray) -> np.ndarray:
+        j = self.spectral
+        return (j.coupling * j.omega_c ** (1.0 - j.s)) * np.exp(w * (-1.0 / j.omega_c))
+
+    def _bare(self, w: np.ndarray) -> np.ndarray:
+        """J(w) / w^p for the panel rule's power p, smooth on [0, inf)."""
+        if self.bath.zero_temperature:
+            return self._envelope(w)
+        return self._envelope(w) * w
+
+    def _dressed(self, w: np.ndarray) -> np.ndarray:
+        """J(w) coth(beta w/2) / w^p for the panel rule's power p."""
+        if self.bath.zero_temperature:
+            return self._envelope(w)
+        return self._envelope(w) * self.bath.thermal_weight(w)
+
+    def _spectral_integral(self, g, t: float, quad: QuadratureSpec | None,
+                           fallback) -> float:
+        """Integral over w of w^p g(w), for g oscillating like sin/cos(w t),
+        by the panel rule, or fallback() when its estimate misses quad."""
+        spec = quad or DEFAULT_QUADRATURE
+        wc = self.spectral.omega_c
+        bath = self.bath
+        value, _ = integrate_panels(
+            g,
+            self._panel_rule,
+            spec.tail_cutoff_multiplier * wc,
+            min(math.pi / t, wc) if t > 0 else wc,
+            spec,
+            # coth(beta w/2) has poles at w = 2 pi i k / beta
+            head_width=math.inf if bath.zero_temperature else 2 * math.pi / bath.beta,
+            fallback=fallback,
+        )
+        return value
+
     # -- bath correlation function -------------------------------------
 
     def bath_correlation(self, t: float, quad: QuadratureSpec | None = None) -> complex:
@@ -122,17 +186,27 @@ class DephasingModel:
         Even real part, odd imaginary part in t."""
         if not math.isfinite(t):
             raise ValidationError("t must be finite")
-        j = self.spectral
-        wc = j.omega_c
+        wc = self.spectral.omega_c
         if t == 0.0:
-            real, _ = integrate_adaptive(self._thermal, 0.0, math.inf, quad, scale=wc)
+            real = self._spectral_integral(
+                self._dressed, 0.0, quad,
+                lambda: integrate_adaptive(self._thermal, 0.0, math.inf, quad, scale=wc),
+            )
             return complex(real, 0.0)
 
         abs_t = abs(t)
-        real, _ = integrate_oscillatory(
-            self._thermal, "cos", abs_t, 0.0, math.inf, quad, scale=wc
+        real = self._spectral_integral(
+            lambda w: self._dressed(w) * np.cos(abs_t * w), abs_t, quad,
+            lambda: integrate_oscillatory(
+                self._thermal, "cos", abs_t, 0.0, math.inf, quad, scale=wc
+            ),
         )
-        imag, _ = integrate_oscillatory(j, "sin", abs_t, 0.0, math.inf, quad, scale=wc)
+        imag = self._spectral_integral(
+            lambda w: self._bare(w) * np.sin(abs_t * w), abs_t, quad,
+            lambda: integrate_oscillatory(
+                self.spectral, "sin", abs_t, 0.0, math.inf, quad, scale=wc
+            ),
+        )
         return complex(real, -math.copysign(1.0, t) * imag)
 
     # -- dephasing rate gamma(t) ----------------------------------------
@@ -143,8 +217,14 @@ class DephasingModel:
             raise ValidationError("t must be >= 0")
         if t == 0.0:
             return 0.0
+        # The rule's nodes are > 0, where sin(w t)/w is accurate as written.
+        return self._spectral_integral(
+            lambda w: self._dressed(w) * np.sin(t * w) / w, t, quad,
+            lambda: self._rate_by_quadpack(t, quad),
+        )
 
-        value, _ = integrate_oscillatory(
+    def _rate_by_quadpack(self, t: float, quad: QuadratureSpec | None) -> tuple[float, float]:
+        return integrate_oscillatory(
             lambda w: self._thermal(w) / w,
             "sin",
             t,
@@ -152,10 +232,8 @@ class DephasingModel:
             math.inf,
             quad,
             scale=self.spectral.omega_c,
-            # sin(w t)/w written as t*sinc to stay stable near w = 0
             head=lambda w: self._thermal(w) * t * np.sinc(w * t / math.pi),
         )
-        return value
 
     def dephasing_rate_from_correlation(
         self, t: float, quad: QuadratureSpec | None = None
@@ -181,7 +259,19 @@ class DephasingModel:
             raise ValidationError("t must be >= 0")
         if t == 0.0:
             return 0.0
+        def g(w):
+            # (1 - cos(w t))/w^2 = 2 (sin(w t/2)/w)^2, free of cancellation
+            # at the rule's nodes (all > 0).
+            half = np.sin(0.5 * t * w) / w
+            return self._dressed(w) * 2.0 * half * half
 
+        return self._spectral_integral(
+            g, t, quad, lambda: self._decoherence_by_quadpack(t, quad)
+        )
+
+    def _decoherence_by_quadpack(
+        self, t: float, quad: QuadratureSpec | None
+    ) -> tuple[float, float]:
         def integrand(w):
             # (1 - cos x)/x^2 = (sin(x/2)/(x/2))^2 / 2, cancellation-free
             half_sinc = np.sinc(w * t / (2.0 * math.pi))
@@ -190,20 +280,17 @@ class DephasingModel:
         spec = quad or DEFAULT_QUADRATURE
         upper = spec.tail_cutoff_multiplier * self.spectral.omega_c
         if t * upper <= OSC_THRESHOLD:
-            value, _ = integrate_adaptive(
-                integrand, 0.0, upper, quad, breakpoints=(1.0 / t,)
-            )
-            return value
+            return integrate_adaptive(integrand, 0.0, upper, quad, breakpoints=(1.0 / t,))
 
         # Fast oscillation: keep the infrared stretch [0, 1/t] as the full
         # regularized integrand, then split 1 - cos into a smooth tail and
         # a weighted-oscillatory tail (each finite away from w = 0).
         split = 1.0 / t
         envelope = lambda w: self._thermal(w) / (w * w)  # noqa: E731
-        head, _ = integrate_adaptive(integrand, 0.0, split, quad)
-        smooth, _ = integrate_adaptive(envelope, split, upper, quad)
-        oscillating, _ = integrate_oscillatory(envelope, "cos", t, split, upper, quad)
-        return head + smooth - oscillating
+        head, head_err = integrate_adaptive(integrand, 0.0, split, quad)
+        smooth, smooth_err = integrate_adaptive(envelope, split, upper, quad)
+        oscillating, osc_err = integrate_oscillatory(envelope, "cos", t, split, upper, quad)
+        return head + smooth - oscillating, head_err + smooth_err + osc_err
 
     def decoherence_function_from_rate(
         self, t: float, quad: QuadratureSpec | None = None

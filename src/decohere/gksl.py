@@ -13,8 +13,9 @@ semidefinite exactly when the map is completely positive.
 
 A generator whose Hamiltonian and Lindblad operators are all diagonal acts
 entrywise, L(rho) = K o rho with a d x d kernel K, so its superoperator is
-diagonal too; ``integrate_constant`` integrates such generators through K
-instead of building the d^2 x d^2 matrix.
+diagonal too; ``integrate_constant`` and ``integrate_time_dependent`` (at
+every Runge-Kutta stage) integrate such generators through K instead of
+building the d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
@@ -303,6 +304,17 @@ def _entrywise_kernel(gen: GkslGenerator) -> np.ndarray | None:
             - 0.5 * (m_diag[:, None] + m_diag[None, :]))
 
 
+def _rhs(gen: GkslGenerator) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> vec(L(unvec(v))): entrywise through the d x d kernel when the
+    generator has one, else through its d^2 x d^2 superoperator."""
+    kernel = _entrywise_kernel(gen)
+    if kernel is not None:
+        k = vec(kernel)
+        return lambda v: k * v
+    s = to_superoperator(gen).matrix
+    return lambda v: s @ v
+
+
 def integrate_constant(
     gen: GkslGenerator,
     rho0: DensityMatrix,
@@ -319,12 +331,8 @@ def integrate_constant(
         raise DimensionMismatchError(
             f"state dimension {rho0.dim} != generator dimension {gen.dim}"
         )
-    kernel = _entrywise_kernel(gen)
-    if kernel is not None:
-        k = vec(kernel)
-        return _integrate(lambda t, v: k * v, rho0, t_grid, spec)
-    s = to_superoperator(gen).matrix
-    return _integrate(lambda t, v: s @ v, rho0, t_grid, spec)
+    rhs = _rhs(gen)
+    return _integrate(lambda t, v: rhs(v), rho0, t_grid, spec)
 
 
 def integrate_time_dependent(
@@ -334,10 +342,9 @@ def integrate_time_dependent(
     spec: OdeSpec | None = None,
 ) -> list[DensityMatrix]:
     """Integrate d rho/dt = L(t) rho, rebuilding the generator at every
-    internal Runge-Kutta stage (no interpolation of rates)."""
-    return _integrate(
-        lambda t, v: to_superoperator(gen_at(t)).matrix @ v, rho0, t_grid, spec
-    )
+    internal Runge-Kutta stage (no interpolation of rates) and applying it
+    as :func:`integrate_constant` does."""
+    return _integrate(lambda t, v: _rhs(gen_at(t))(v), rho0, t_grid, spec)
 
 
 def _integrate(rhs, rho0, t_grid, spec) -> list[DensityMatrix]:

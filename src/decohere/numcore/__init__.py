@@ -1,5 +1,6 @@
-"""Numerical core: dense complex linear algebra, adaptive quadrature for
-damped-oscillatory integrands, and an embedded Runge-Kutta integrator.
+"""Numerical core: dense complex linear algebra, Gauss panel and adaptive
+quadrature for damped-oscillatory integrands, and an embedded Runge-Kutta
+integrator.
 
 Everything here is a pure function of its inputs; specs and matrices are
 immutable values, safe to share between threads.
@@ -17,9 +18,11 @@ from .ode import DEFAULT_ODE, OdeSpec, ode_solve
 from .quadrature import (
     DEFAULT_QUADRATURE,
     OSC_THRESHOLD,
+    PanelRule,
     QuadratureSpec,
     integrate_adaptive,
     integrate_oscillatory,
+    integrate_panels,
 )
 
 __all__ = [
@@ -27,6 +30,7 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "OSC_THRESHOLD",
     "OdeSpec",
+    "PanelRule",
     "QuadratureSpec",
     "as_square_complex",
     "hermitian_eigensystem",
@@ -34,6 +38,7 @@ __all__ = [
     "hermiticity_defect",
     "integrate_adaptive",
     "integrate_oscillatory",
+    "integrate_panels",
     "matrix_exp",
     "ode_solve",
     "require_hermitian",

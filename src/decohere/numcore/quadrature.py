@@ -1,23 +1,36 @@
-"""Adaptive quadrature for damped-oscillatory integrands.
+"""Quadrature for the damped-oscillatory spectral integrands.
 
 Semi-infinite integrals are truncated at ``tail_cutoff_multiplier`` times a
 caller-supplied intrinsic scale (all spectral integrands in scope decay
-exponentially beyond their cutoff), then handed to adaptive Gauss-Kronrod
-bisection.  Integrands carrying a trigonometric factor sin/cos(omega*t)
-have two strategies once the truncated interval spans many oscillation
-periods: :func:`integrate_adaptive` pre-subdivides at integer multiples of
-pi/t, while :func:`integrate_oscillatory` hands the trigonometric weight
-to an adaptive Clenshaw-Curtis rule, which costs far fewer evaluations at
-large t and is what the spectral-integral callers use.
+exponentially beyond their cutoff).
+
+:func:`integrate_panels` is the fast rule.  It integrates w^p g(w) over
+(0, upper), for a power law w^p times a smooth g, by Gauss panels: a
+Gauss-Jacobi head panel carries the weight w^p exactly, the panels after
+it double in width until they reach the caller's maximum width (pi/t for
+an integrand oscillating as sin/cos(w t)), and Gauss-Legendre panels of at
+most that width cover the rest.  g is evaluated once, as one numpy array
+over the nodes of an n- and a 2n-point rule on every panel; the sum of
+their per-panel differences, plus a roundoff floor, is the error estimate.
+When that estimate misses max(abs_tol, rel_tol * |value|), or the panel
+count exceeds ``max_subdivisions``, the caller's fallback (the QUADPACK
+route below) computes the integral instead.
+
+:func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
+bisection (QUADPACK).  For a trigonometric factor sin/cos(omega*t) spanning
+many oscillation periods, :func:`integrate_oscillatory` hands the
+trigonometric weight to an adaptive Clenshaw-Curtis rule instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 from ..errors import (
     MaxSubdivisionsError,
@@ -113,31 +126,19 @@ def integrate_adaptive(
     spec: QuadratureSpec | None = None,
     *,
     scale: float | None = None,
-    osc_time: float | None = None,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate f over (a, b), b possibly +inf, to (value, error_estimate).
 
     ``scale`` is the intrinsic frequency scale used to truncate b = +inf;
-    ``osc_time`` is the t of a sin/cos(omega*t) factor, used to place
-    subdivision points at multiples of pi/t; extra ``breakpoints`` are
-    merged in.
+    ``breakpoints`` inside (a, b) become subdivision points.
     """
     spec = spec or DEFAULT_QUADRATURE
     b = _truncate(a, b, spec, scale)
     if b == a:
         return 0.0, 0.0
 
-    pts = [p for p in breakpoints if a < p < b]
-    if osc_time is not None and osc_time > 0 and osc_time * (b - a) > OSC_THRESHOLD:
-        step = math.pi / osc_time
-        n = int((b - a) / step)
-        # Cap to the subdivision budget: the head of the interval dominates
-        # for the exponentially damped integrands in scope.
-        n = min(n, max(spec.max_subdivisions - 64, 0))
-        pts.extend(a + k * step for k in range(1, n + 1) if a + k * step < b)
-    pts = sorted(set(pts))
-
+    pts = sorted({p for p in breakpoints if a < p < b})
     return _invoke_quad(f, a, b, spec, points=pts or None)
 
 
@@ -181,3 +182,114 @@ def integrate_oscillatory(
     head_value, head_err = _invoke_quad(head, a, split, spec)
     bulk_value, bulk_err = _invoke_quad(envelope, split, b, spec, weight=kind, wvar=t)
     return head_value + bulk_value, head_err + bulk_err
+
+
+# Nodes per panel of the lower rule of the panel pair; the upper has twice
+# as many.  On the panels integrate_panels lays out the lower rule is
+# already near roundoff, so the pair's difference bounds the upper's error
+# with a wide margin.
+PANEL_NODES = 12
+
+
+def _gauss_rule(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the integral of
+    u^power f(u) over (0, 1), power > -1 (Golub-Welsch on the Jacobi
+    recurrence; more accurate than ``scipy.special.roots_jacobi`` as power
+    approaches -1)."""
+    p = power
+    k = np.arange(1, n, dtype=float)
+    diag = np.empty(n)
+    diag[0] = p / (p + 2.0)
+    diag[1:] = p * p / ((2 * k + p) * (2 * k + p + 2))
+    off = 2 * k * (k + p) / ((2 * k + p) * np.sqrt((2 * k + p) ** 2 - 1.0))
+    x, vectors = scipy.linalg.eigh_tridiagonal(diag, off)
+    return 0.5 * (1.0 + x), vectors[0] ** 2 / (p + 1.0)
+
+
+@dataclass(frozen=True)
+class PanelRule:
+    """Gauss-Jacobi (weight u^power) and Gauss-Legendre nodes and weights
+    on (0, 1): everything :func:`integrate_panels` needs that does not
+    depend on the panels.  Each is the PANEL_NODES-point rule followed by
+    the rule with twice as many nodes.
+
+    Building one costs four small eigenproblems, so callers build it once
+    per power law and pass it to every integral."""
+
+    power: float
+    jacobi: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    legendre: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (self.power > -1.0):
+            raise ValidationError("panel rule power must be > -1")
+        for name, power in (("jacobi", self.power), ("legendre", 0.0)):
+            lo, hi = _gauss_rule(PANEL_NODES, power), _gauss_rule(2 * PANEL_NODES, power)
+            object.__setattr__(
+                self, name, (np.concatenate([lo[0], hi[0]]), np.concatenate([lo[1], hi[1]]))
+            )
+
+
+def _panel_edges(upper: float, max_width: float, head_width: float,
+                 max_panels: int) -> np.ndarray | None:
+    """0, a head panel no wider than head_width or max_width, panels that
+    double in width (so each stays at least its own width away from 0)
+    until they reach max_width, then equal panels no wider than it; None
+    when that makes more than max_panels panels."""
+    edges = [0.0, min(head_width, max_width, upper)]
+    while edges[-1] < max_width and 2 * edges[-1] < upper:
+        edges.append(2 * edges[-1])
+    n = math.ceil((upper - edges[-1]) / max_width)
+    if len(edges) - 1 + n > max_panels:
+        return None
+    step = (upper - edges[-1]) / max(n, 1)
+    return np.concatenate([edges, edges[-1] + step * np.arange(1, n + 1)])
+
+
+def integrate_panels(
+    g: Callable[[np.ndarray], np.ndarray],
+    rule: PanelRule,
+    upper: float,
+    max_width: float,
+    spec: QuadratureSpec | None = None,
+    *,
+    head_width: float = math.inf,
+    fallback: Callable[[], tuple[float, float]],
+) -> tuple[float, float]:
+    """Integrate w^rule.power * g(w) over (0, upper) to (value, error_estimate).
+
+    ``g`` maps an array of nodes (all > 0) to an array of values, entry by
+    entry, and must be smooth on [0, upper]: its complex singularities at
+    least ``head_width`` from 0 and, beyond the head panel, further from
+    each panel than the panel's own width.  No panel is wider than
+    ``max_width``.  When the estimate exceeds max(abs_tol, rel_tol *
+    |value|), the values are not finite, or the panels outnumber
+    ``max_subdivisions``, the result of ``fallback()`` is returned instead.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    if not (upper > 0 and max_width > 0 and head_width > 0):
+        raise ValidationError("upper, max_width and head_width must be > 0")
+    edges = _panel_edges(upper, max_width, head_width, spec.max_subdivisions)
+    if edges is None:
+        return fallback()
+
+    # Row 0 is the head panel, row k the panel (edges[k], edges[k + 1]);
+    # the first PANEL_NODES columns hold the lower rule, the rest the upper.
+    p = rule.power
+    head = edges[1]
+    x_jac, w_jac = rule.jacobi
+    x_leg, w_leg = rule.legendre
+    width = np.diff(edges[1:])[:, None]
+    tail = edges[1:-1, None] + width * x_leg
+    nodes = np.concatenate([head * x_jac[None], tail])
+    weights = np.concatenate([head ** (p + 1) * w_jac[None], width * w_leg * tail**p])
+    terms = weights * g(nodes)
+    lo = terms[:, :PANEL_NODES].sum(axis=1)
+    hi = terms[:, PANEL_NODES:].sum(axis=1)
+    value = float(hi.sum())
+    # QUADPACK's roundoff floor: no rule resolves below 50 eps of the
+    # integral of |w^p g|.
+    err = float(np.abs(hi - lo).sum() + 50 * np.finfo(float).eps * np.abs(terms).sum())
+    if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+        return value, err
+    return fallback()

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from decohere.cli import (
     run_scenario,
     validate_scenario,
 )
-from decohere.errors import ParseError, ValidationError
+from decohere.errors import NegativeRateWarning, ParseError, ValidationError
 
 
 def dephasing_scenario(tmp_path, **overrides):
@@ -168,6 +169,24 @@ def test_run_dephasing_columns_and_oracle(tmp_path):
     assert abs(row1[1] - 0.5) < 1e-8
     assert abs(row1[2] - 0.5 * math.log(2.0)) < 1e-8
     assert report.passed
+
+
+def test_run_dephasing_reports_negative_rates_once(tmp_path):
+    # s = 3 at T = 0: gamma(t) turns negative after t = sqrt(3), at many
+    # Runge-Kutta stages
+    raw = dephasing_scenario(tmp_path, time={"t_max": 5.0, "n_points": 21})
+    raw["parameters"]["spectral"]["s"] = 3.0
+    s = validate_scenario(raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(s)
+    negative = [w for w in caught if issubclass(w.category, NegativeRateWarning)]
+    assert len(negative) == 1
+    message = str(negative[0].message)
+    count = int(message.split(" at ")[1].split()[0])
+    first = float(message.split("first at t = ")[1].split(":")[0])
+    assert count > 1
+    assert math.sqrt(3.0) < first < 2.0
 
 
 def test_run_collisional_oracle(tmp_path):

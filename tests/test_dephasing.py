@@ -1,9 +1,13 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import decohere.dephasing
 from decohere import (
     BathSpec,
     DensityMatrix,
@@ -17,6 +21,7 @@ from decohere.errors import (
     NegativeRateWarning,
     ValidationError,
 )
+from decohere.numcore import QuadratureSpec
 
 PLUS = DensityMatrix.pure([1.0, 1.0])
 
@@ -67,6 +72,17 @@ def test_bath_validation_and_thermal_factor():
         BathSpec(0.0)
     assert BathSpec(math.inf).thermal_factor(3.0) == 1.0
     assert abs(BathSpec(2.0).thermal_factor(1.0) - 1.0 / math.tanh(1.0)) < 1e-15
+
+
+def test_thermal_factor_pole_and_thermal_weight_limit():
+    bath = BathSpec(2.0)
+    assert bath.thermal_factor(0.0) == math.inf
+    w = np.array([0.0, 1e-300, 1e-8, 0.3, 40.0])
+    weight = bath.thermal_weight(w)
+    assert np.all(np.isfinite(weight))
+    assert weight[0] == 1.0  # the limit 2 / beta
+    assert weight[1:] == pytest.approx(w[1:] / np.tanh(w[1:]), rel=1e-15, abs=0)
+    assert np.array_equal(BathSpec(math.inf).thermal_weight(w), w)
 
 
 # ----------------------------------------------------------------------
@@ -267,3 +283,90 @@ def test_trajectory_matches_exact_solution():
         predicted = model.coherence(PLUS, float(t))
         assert abs(state.matrix[0, 1] - predicted) < 1e-6
         assert np.abs(np.diag(state.matrix) - 0.5).max() < 1e-8
+
+
+# ----------------------------------------------------------------------
+# spectral-integral engine: oracles and the QUADPACK fallback
+# ----------------------------------------------------------------------
+
+
+def _t0_rate(lam, s, wc, t):
+    return (lam * wc * math.gamma(s) * (1 + (wc * t) ** 2) ** (-s / 2)
+            * math.sin(s * math.atan(wc * t)))
+
+
+def _t0_decoherence(lam, s, wc, t):
+    x = 1 + (wc * t) ** 2
+    if s == 1.0:
+        return 0.5 * lam * math.log(x)
+    return lam * math.gamma(s - 1) * (
+        1 - x ** ((1 - s) / 2) * math.cos((1 - s) * math.atan(wc * t)))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 3.5])
+@pytest.mark.parametrize("wc", [1.0, 5.0])
+def test_zero_temperature_closed_forms(s, wc):
+    model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(math.inf))
+    for t in np.geomspace(0.01, 50.0, 13):
+        for got, want in ((model.dephasing_rate(t), _t0_rate(0.7, s, wc, t)),
+                          (model.decoherence_function(t), _t0_decoherence(0.7, s, wc, t))):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, got, want)
+
+
+def test_finite_temperature_against_mpmath():
+    # Reference by mpmath.quad over the same truncated range, broken at
+    # every half period k pi / t of the oscillating factor.
+    lam, s, wc, beta, t = 1.0, 0.5, 1.0, 0.5, 10.0
+    model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
+    upper = 40.0 * wc
+    with mpmath.workdps(20):
+        half_periods = range(1, int(upper * t / math.pi) + 1)
+        points = [0, *(k * mpmath.pi / t for k in half_periods), upper]
+
+        def dressed(w):
+            return lam * w**s * wc ** (1 - s) * mpmath.exp(-w / wc) * mpmath.coth(beta * w / 2)
+
+        rate = mpmath.quad(lambda w: dressed(w) * mpmath.sin(w * t) / w, points)
+        decoherence = mpmath.quad(lambda w: dressed(w) * 2 * (mpmath.sin(w * t / 2) / w) ** 2,
+                                  points)
+    assert model.dephasing_rate(t) == pytest.approx(float(rate), rel=1e-9)
+    assert model.decoherence_function(t) == pytest.approx(float(decoherence), rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    lam=st.floats(0.01, 3.0),
+    s=st.floats(0.05, 4.0),
+    wc=st.floats(0.2, 5.0),
+    beta=st.one_of(st.just(math.inf), st.floats(0.03, 50.0)),
+    t=st.floats(0.01, 20.0),
+)
+def test_engine_matches_quadpack_route(lam, s, wc, beta, t):
+    model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
+    for got, (want, _) in ((model.dephasing_rate(t), model._rate_by_quadpack(t, None)),
+                           (model.decoherence_function(t),
+                            model._decoherence_by_quadpack(t, None))):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_tight_tolerance_falls_back_to_quadpack(monkeypatch):
+    fallbacks = []
+    panels = decohere.dephasing.integrate_panels
+
+    def spy(*args, fallback, **kwargs):
+        def counted():
+            fallbacks.append(True)
+            return fallback()
+
+        return panels(*args, fallback=counted, **kwargs)
+
+    monkeypatch.setattr(decohere.dephasing, "integrate_panels", spy)
+    model = DephasingModel(0.0, SpectralDensity(0.7, 2.0, 1.0), BathSpec(0.5))
+    tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+    assert model.dephasing_rate(1.0, tight) == model._rate_by_quadpack(1.0, tight)[0]
+    assert model.decoherence_function(1.0, tight) == (
+        model._decoherence_by_quadpack(1.0, tight)[0])
+    assert len(fallbacks) == 2
+    model.dephasing_rate(1.0)
+    model.decoherence_function(1.0)
+    assert len(fallbacks) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_density_matrix, random_generator
 
+import decohere.gksl
 from decohere import (
     SIGMA_X,
     SIGMA_Z,
@@ -223,6 +224,26 @@ def test_integrate_constant_matches_semigroup():
     for t, state in zip(t_grid, trajectory):
         reference = propagate_semigroup(gen, rho0, float(t))
         assert np.abs(state.matrix - reference.matrix).max() < 1e-7
+
+
+def test_integrate_time_dependent_diagonal_generator_is_entrywise(monkeypatch):
+    # dephasing at rate t/2 damps the coherence by exp(-t^2/2); a diagonal
+    # generator never needs its superoperator
+    def no_superoperator(gen):
+        raise AssertionError("superoperator built for a diagonal generator")
+
+    monkeypatch.setattr(decohere.gksl, "to_superoperator", no_superoperator)
+    h = 0.7 * SIGMA_Z
+    rho0 = DensityMatrix.pure([1.0, 1.0])
+    t_grid = np.linspace(0.0, 2.0, 9)
+    trajectory = integrate_time_dependent(
+        lambda t: GkslGenerator(h, (SIGMA_Z,), np.array([[0.5 * t]], dtype=complex)),
+        rho0, t_grid,
+    )
+    for t, state in zip(t_grid, trajectory):
+        expected = 0.5 * np.exp(-2j * 0.7 * t - 0.5 * t * t)
+        assert abs(state.matrix[0, 1] - expected) < 1e-7
+        assert np.array_equal(np.diag(state.matrix), np.diag(rho0.matrix))
 
 
 def test_integrate_trivial_generator_constant_trajectory():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from decohere.errors import (
@@ -7,7 +8,14 @@ from decohere.errors import (
     NonFiniteIntegrandError,
     ValidationError,
 )
-from decohere.numcore import QuadratureSpec, integrate_adaptive, integrate_oscillatory
+from decohere.numcore import (
+    PanelRule,
+    QuadratureSpec,
+    integrate_adaptive,
+    integrate_oscillatory,
+    integrate_panels,
+)
+from decohere.numcore.quadrature import PANEL_NODES, _panel_edges
 
 
 def test_exponential_tail():
@@ -38,18 +46,6 @@ def test_additivity():
     left, err_left = integrate_adaptive(f, 0.0, 2.3)
     right, err_right = integrate_adaptive(f, 2.3, 7.0)
     assert abs(whole - left - right) <= err_whole + err_left + err_right + 1e-13
-
-
-def test_oscillatory_breakpoints_large_t():
-    t = 60.0
-    value, _ = integrate_adaptive(
-        lambda w: math.exp(-w) * math.sin(w * t),
-        0.0,
-        math.inf,
-        scale=1.0,
-        osc_time=t,
-    )
-    assert abs(value - t / (1.0 + t * t)) < 1e-10
 
 
 def test_integrate_oscillatory_against_closed_forms():
@@ -113,3 +109,81 @@ def test_spec_invariants():
         QuadratureSpec(tail_cutoff_multiplier=5.0)
     with pytest.raises(ValidationError):
         QuadratureSpec(max_subdivisions=0)
+
+
+def _no_fallback():
+    raise AssertionError("the panel rule fell back")
+
+
+@pytest.mark.parametrize("power", [-0.97, -0.5, 0.0, 1.0, 3.5])
+def test_panel_rule_is_exact_on_polynomials(power):
+    # integral over (0, 1) of u^power u^k = 1 / (power + k + 1), exact for
+    # k < 2n on the n-point Gauss rule
+    rule = PanelRule(power)
+    for (x, w), p in ((rule.jacobi, power), (rule.legendre, 0.0)):
+        for lo, n in ((0, PANEL_NODES), (PANEL_NODES, 2 * PANEL_NODES)):
+            xs, ws = x[lo:lo + n], w[lo:lo + n]
+            assert np.all((xs > 0) & (xs < 1))
+            for k in range(2 * n):
+                assert (ws * xs**k).sum() == pytest.approx(1 / (p + k + 1), rel=1e-13)
+
+
+def test_panel_rule_rejects_non_integrable_power():
+    with pytest.raises(ValidationError):
+        PanelRule(-1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 7.0, 60.0])
+@pytest.mark.parametrize("head_width", [math.inf, 0.01])
+def test_panel_edges_respect_the_widths(t, head_width):
+    upper, scale = 40.0, 1.0
+    max_width = min(math.pi / t, scale) if t else scale
+    edges = _panel_edges(upper, max_width, head_width, 2048)
+    widths = np.diff(edges)
+    assert edges[0] == 0.0 and edges[-1] == pytest.approx(upper, rel=1e-14)
+    assert widths[0] <= min(head_width, max_width)
+    assert np.all(widths <= max_width * (1 + 1e-12))
+    # beyond the head, each panel is at least its own width away from 0
+    assert np.all(widths[1:] <= edges[1:-1] * (1 + 1e-12))
+    assert _panel_edges(upper, max_width, head_width, widths.size - 1) is None
+
+
+@pytest.mark.parametrize("power", [-0.5, 0.0, 1.5])
+@pytest.mark.parametrize("t", [0.5, 3.0, 47.0])
+def test_integrate_panels_against_closed_forms(power, t):
+    # integral of w^p e^(-w) e^(i t w) = Gamma(p + 1) (1 - i t)^(-(p + 1))
+    rule = PanelRule(power)
+    exact = math.gamma(power + 1) * (1.0 - 1j * t) ** -(power + 1)
+    max_width = min(math.pi / t, 1.0)
+    v_sin, err = integrate_panels(lambda w: np.exp(-w) * np.sin(t * w), rule, 40.0,
+                                  max_width, fallback=_no_fallback)
+    v_cos, _ = integrate_panels(lambda w: np.exp(-w) * np.cos(t * w), rule, 40.0,
+                                max_width, fallback=_no_fallback)
+    assert abs(v_sin - exact.imag) < 1e-12
+    assert abs(v_cos - exact.real) < 1e-12
+    assert err < 1e-10
+
+
+def test_integrate_panels_falls_back():
+    rule = PanelRule(0.5)
+    sentinel = (123.0, 0.0)
+    smooth = lambda w: 50.0 * np.exp(-w)  # noqa: E731
+    assert integrate_panels(smooth, rule, 40.0, 1.0, fallback=_no_fallback)[0] == (
+        pytest.approx(50.0 * math.gamma(1.5), rel=1e-13))
+    # tolerance below the rule's roundoff floor
+    tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+    fallback = lambda: sentinel  # noqa: E731
+    assert integrate_panels(smooth, rule, 40.0, 1.0, tight, fallback=fallback) == sentinel
+    # more panels than the subdivision budget
+    few = QuadratureSpec(max_subdivisions=8)
+    assert integrate_panels(smooth, rule, 40.0, 1.0, few, fallback=fallback) == sentinel
+    # non-finite integrand values
+    nan = lambda w: np.where(w > 3.0, np.nan, 1.0)  # noqa: E731
+    assert integrate_panels(nan, rule, 40.0, 1.0, fallback=fallback) == sentinel
+
+
+def test_integrate_panels_validates_its_ranges():
+    with pytest.raises(ValidationError):
+        integrate_panels(np.exp, PanelRule(0.0), 0.0, 1.0, fallback=_no_fallback)
+    with pytest.raises(ValidationError):
+        integrate_panels(np.exp, PanelRule(0.0), 1.0, 0.0, fallback=_no_fallback)
