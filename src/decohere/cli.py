@@ -6,11 +6,15 @@ Subcommands::
     decohere check-cp <scenario.json> --times 0.1,1,10
     decohere sweep <scenario.json> --param spectral.s --values 0.5,1,2
 
-Scenario files are strict JSON (unknown keys are rejected) with an "inf"
-sentinel string for infinite inverse temperature.  CSV output uses 17
-significant digits (round-trip exact for doubles) and LF line endings, so
-identical scenarios produce byte-identical files.  Exit codes: 0 ok,
-1 invariant violation, 2 usage/parse/validation error.
+Scenario files are strict JSON (unknown and duplicate keys are rejected)
+with an "inf" sentinel string for infinite inverse temperature.  Each
+schema is one table of ``key: (parser, default)`` entries walked by
+``_obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
+``OdeSpec``, and ``sweep`` patches the document as read.  CSV output uses
+17 significant digits (round-trip exact for doubles) and LF line endings,
+so identical scenarios produce byte-identical files.  Exit codes: 0 ok,
+1 invariant violation, 2 usage/parse/validation error or an unwritable
+output path.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,34 +80,6 @@ class Scenario:
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_points)
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "model": self.model,
-            "parameters": _encode_parameters(self.model, self.parameters),
-            "time": {"t_max": self.t_max, "n_points": self.n_points},
-        }
-        numerics: dict = {}
-        if self.quadrature is not None:
-            q = self.quadrature
-            numerics["quadrature"] = {
-                "abs_tol": q.abs_tol,
-                "rel_tol": q.rel_tol,
-                "max_subdivisions": q.max_subdivisions,
-                "tail_cutoff_multiplier": q.tail_cutoff_multiplier,
-            }
-        if self.ode is not None:
-            o = self.ode
-            numerics["ode"] = {
-                "abs_tol": o.abs_tol,
-                "rel_tol": o.rel_tol,
-                "initial_step": o.initial_step,
-                "max_steps": o.max_steps,
-            }
-        if numerics:
-            out["numerics"] = numerics
-        out["output"] = {"csv_path": self.csv_path, "report_path": self.report_path}
-        return out
-
 
 @dataclass
 class InvariantReport:
@@ -120,14 +97,25 @@ class InvariantReport:
     def passed(self) -> bool:
         return not self.violations
 
+    def observe(self, m) -> float:
+        """Fold in one state's trace and Hermiticity drift; return the former."""
+        trace_drift = abs(complex(np.trace(m)) - 1.0)
+        self.trace_drift_max = max(self.trace_drift_max, trace_drift)
+        self.hermiticity_drift_max = max(self.hermiticity_drift_max,
+                                         hermiticity_defect(m))
+        return trace_drift
+
+    def residual(self, name: str, value: float) -> None:
+        """Keep the running max of a cross-check residual."""
+        self.cross_check_residuals[name] = max(
+            self.cross_check_residuals.get(name, 0.0), value
+        )
+
     def finalize(self) -> "InvariantReport":
-        if self.trace_drift_max > VIOLATION_THRESHOLD:
-            self.violations.append("trace_drift")
-        if self.hermiticity_drift_max > VIOLATION_THRESHOLD:
-            self.violations.append("hermiticity_drift")
-        for name, value in self.cross_check_residuals.items():
-            if value > VIOLATION_THRESHOLD:
-                self.violations.append(name)
+        drifts = {"trace_drift": self.trace_drift_max,
+                  "hermiticity_drift": self.hermiticity_drift_max,
+                  **self.cross_check_residuals}
+        self.violations += [k for k, v in drifts.items() if v > VIOLATION_THRESHOLD]
         if (
             self.min_choi_eigenvalue is not None
             and self.min_choi_eigenvalue < CP_EIGENVALUE_FLOOR
@@ -151,7 +139,7 @@ class InvariantReport:
 
 
 # ----------------------------------------------------------------------
-# Validation helpers
+# Schema: field parsers take (value, path) and return the parsed value
 # ----------------------------------------------------------------------
 
 
@@ -231,101 +219,78 @@ def _complex_matrix(value, path, dim=None):
     return m
 
 
-def _encode_complex_matrix(m) -> list:
-    m = np.asarray(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-# ----------------------------------------------------------------------
-# Per-model parameter blocks
-# ----------------------------------------------------------------------
-
-
-def _validate_dephasing(params) -> dict:
-    _check_keys(
-        params,
-        "parameters",
-        allowed={
-            "omega0",
-            "spectral",
-            "bath",
-            "initial_population_upper",
-            "initial_coherence",
-        },
-        required={"omega0", "spectral", "bath"},
-    )
-    spectral = params["spectral"]
-    _check_keys(spectral, "spectral", allowed={"coupling", "s", "omega_c"},
-                required={"coupling", "s", "omega_c"})
-    bath = params["bath"]
-    _check_keys(bath, "bath", allowed={"beta"}, required={"beta"})
-    p_up = params.get("initial_population_upper", 0.5)
-    coh = params.get("initial_coherence", [0.5, 0.0])
-    return {
-        "omega0": _number(params["omega0"], "omega0"),
-        "spectral": {
-            "coupling": _number(spectral["coupling"], "spectral.coupling", minimum=0.0),
-            "s": _number(spectral["s"], "spectral.s", exclusive_minimum=0.0),
-            "omega_c": _number(spectral["omega_c"], "spectral.omega_c",
-                               exclusive_minimum=0.0),
-        },
-        "bath": {"beta": _beta(bath["beta"], "bath.beta")},
-        "initial_population_upper": _number(
-            p_up, "initial_population_upper", minimum=0.0, maximum=1.0
-        ),
-        "initial_coherence": _complex_entry(coh, "initial_coherence"),
-    }
-
-
-def _validate_collisional(params) -> dict:
-    _check_keys(
-        params,
-        "parameters",
-        allowed={"rate", "law", "grid", "n_q", "initial_state"},
-        required={"rate", "law", "grid"},
-    )
-    law = params["law"]
-    if not isinstance(law, dict) or "kind" not in law:
-        raise ValidationError('law must be an object with a "kind" key')
-    kind = _string(law["kind"], "law.kind", choices=("gaussian", "two_point"))
-    if kind == "gaussian":
-        _check_keys(law, "law", allowed={"kind", "sigma_q"}, required={"kind", "sigma_q"})
-        law_out = {"kind": kind,
-                   "sigma_q": _number(law["sigma_q"], "law.sigma_q",
-                                      exclusive_minimum=0.0)}
-        default_nq = 64
-    else:
-        _check_keys(law, "law", allowed={"kind", "q0"}, required={"kind", "q0"})
-        law_out = {"kind": kind,
-                   "q0": _number(law["q0"], "law.q0", exclusive_minimum=0.0)}
-        default_nq = 2
-    grid_raw = params["grid"]
-    if not isinstance(grid_raw, list) or len(grid_raw) < 2:
-        raise ValidationError("grid must be a list of at least 2 positions")
-    grid = [_number(x, f"grid[{i}]") for i, x in enumerate(grid_raw)]
+def _grid(value, path):
+    if not isinstance(value, list) or len(value) < 2:
+        raise ValidationError(f"{path} must be a list of at least 2 positions")
+    grid = [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("grid must be strictly ascending")
-    n_q = params.get("n_q", default_nq)
-    return {
-        "rate": _number(params["rate"], "rate", exclusive_minimum=0.0),
-        "law": law_out,
-        "grid": grid,
-        "n_q": _integer(n_q, "n_q", minimum=2),
-        "initial_state": _string(
-            params.get("initial_state", "superposition"),
-            "initial_state",
-            choices=("superposition",),
-        ),
-    }
+        raise ValidationError(f"{path} must be strictly ascending")
+    return grid
 
 
-def _validate_gksl(params) -> dict:
-    _check_keys(
-        params,
-        "parameters",
-        allowed={"hamiltonian", "lindblad_ops", "kossakowski", "rho0"},
-        required={"hamiltonian", "lindblad_ops", "kossakowski", "rho0"},
-    )
+# Default of a key that must be present.  A default of None leaves an absent
+# key None; a callable default gets the fields parsed before it.
+_REQUIRED = object()
+
+
+def _obj(fields, name=None):
+    """Parser for an object declared as {key: (parser, default)}; keys are
+    checked, then parsed in table order.  ``name`` labels the parameters
+    block, whose fields are reported by bare key."""
+    required = {key for key, (_, default) in fields.items() if default is _REQUIRED}
+
+    def parse(value, path):
+        _check_keys(value, name or path, fields, required)
+        out = dict.fromkeys(fields)
+        for key, (parser, default) in fields.items():
+            if key in value:
+                out[key] = parser(value[key], key if name else f"{path}.{key}")
+            elif default is not None:
+                given = default(out) if callable(default) else default
+                out[key] = parser(given, key if name else f"{path}.{key}")
+        return out
+
+    return parse
+
+
+def _spec(cls):
+    """Parser for a numerics block with the fields and defaults of ``cls``;
+    the dataclass's own checks are reported under the block's path."""
+    fields = {f.name: (_integer if f.type in (int, "int") else _number, f.default)
+              for f in dataclass_fields(cls)}
+    parse_fields = _obj(fields)
+
+    def parse(value, path):
+        _check_keys(value, path, fields, ())  # key errors are not prefixed
+        try:
+            return cls(**parse_fields(value, path))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+
+    return parse
+
+
+_positive = partial(_number, exclusive_minimum=0.0)
+
+# law kind -> (law table, default number of kick-quadrature nodes, law class)
+_LAWS = {
+    "gaussian": (_obj({"kind": (_string, _REQUIRED), "sigma_q": (_positive, _REQUIRED)}),
+                 64, col.GaussianMomentumLaw),
+    "two_point": (_obj({"kind": (_string, _REQUIRED), "q0": (_positive, _REQUIRED)}),
+                  2, col.TwoPointMomentumLaw),
+}
+
+
+def _law(value, path):
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ValidationError(f'{path} must be an object with a "kind" key')
+    kind = _string(value["kind"], f"{path}.kind", choices=tuple(_LAWS))
+    return _LAWS[kind][0](value, path)
+
+
+def _validate_gksl(params, path) -> dict:
+    keys = ("hamiltonian", "lindblad_ops", "kossakowski", "rho0")
+    _check_keys(params, path, allowed=keys, required=keys)
     h = _complex_matrix(params["hamiltonian"], "hamiltonian")
     d = h.shape[0]
     ops_raw = params["lindblad_ops"]
@@ -347,146 +312,75 @@ def _validate_gksl(params) -> dict:
     return {"hamiltonian": h, "lindblad_ops": ops, "kossakowski": a, "rho0": rho0}
 
 
-def _encode_parameters(model, params) -> dict:
-    if model == "dephasing":
-        c = params["initial_coherence"]
-        return {
-            "omega0": params["omega0"],
-            "spectral": dict(params["spectral"]),
-            "bath": {
-                "beta": "inf" if math.isinf(params["bath"]["beta"])
-                else params["bath"]["beta"]
-            },
-            "initial_population_upper": params["initial_population_upper"],
-            "initial_coherence": [c.real, c.imag],
-        }
-    if model == "collisional":
-        return {
-            "rate": params["rate"],
-            "law": dict(params["law"]),
-            "grid": list(params["grid"]),
-            "n_q": params["n_q"],
-            "initial_state": params["initial_state"],
-        }
-    return {
-        "hamiltonian": _encode_complex_matrix(params["hamiltonian"]),
-        "lindblad_ops": [_encode_complex_matrix(op) for op in params["lindblad_ops"]],
-        "kossakowski": _encode_complex_matrix(params["kossakowski"])
-        if params["kossakowski"].size
-        else [],
-        "rho0": _encode_complex_matrix(params["rho0"]),
-    }
-
-
-_MODEL_VALIDATORS = {
-    "dephasing": _validate_dephasing,
-    "collisional": _validate_collisional,
+_MODELS = {
+    "dephasing": _obj({
+        "omega0": (_number, _REQUIRED),
+        "spectral": (_obj({
+            "coupling": (partial(_number, minimum=0.0), _REQUIRED),
+            "s": (_positive, _REQUIRED),
+            "omega_c": (_positive, _REQUIRED),
+        }), _REQUIRED),
+        "bath": (_obj({"beta": (_beta, _REQUIRED)}), _REQUIRED),
+        "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
+        "initial_coherence": (_complex_entry, [0.5, 0.0]),
+    }, name="parameters"),
+    "collisional": _obj({
+        "law": (_law, _REQUIRED),
+        "grid": (_grid, _REQUIRED),
+        "rate": (_positive, _REQUIRED),
+        "n_q": (partial(_integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
+        "initial_state": (partial(_string, choices=("superposition",)), "superposition"),
+    }, name="parameters"),
     "gksl": _validate_gksl,
 }
 
+_TIME = _obj({"t_max": (_positive, _REQUIRED),
+              "n_points": (partial(_integer, minimum=2), _REQUIRED)})
+_NUMERICS = _obj({"quadrature": (_spec(QuadratureSpec), None), "ode": (_spec(OdeSpec), None)})
+_OUTPUT = _obj({"csv_path": (_string, _REQUIRED), "report_path": (_string, _REQUIRED)})
 
-def parse_scenario(text) -> Scenario:
-    """Parse and strictly validate a scenario document (bytes or str)."""
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f'duplicate key "{key}" in scenario JSON')
+        obj[key] = value
+    return obj
+
+
+def _load_json(text):
+    """Decode a scenario document (bytes or str) into raw JSON values."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"scenario is not valid UTF-8: {exc}") from exc
     try:
-        raw = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno,
             column=exc.colno,
         ) from exc
-    return validate_scenario(raw)
+
+
+def parse_scenario(text) -> Scenario:
+    """Parse and strictly validate a scenario document (bytes or str)."""
+    return validate_scenario(_load_json(text))
 
 
 def validate_scenario(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a JSON object")
-    _check_keys(
-        raw,
-        "scenario",
-        allowed={"model", "parameters", "time", "numerics", "output"},
-        required={"model", "parameters", "time", "output"},
-    )
-    model = _string(raw["model"], "model", choices=tuple(_MODEL_VALIDATORS))
-    parameters = _MODEL_VALIDATORS[model](raw["parameters"])
-
-    time_block = raw["time"]
-    _check_keys(time_block, "time", allowed={"t_max", "n_points"},
-                required={"t_max", "n_points"})
-    t_max = _number(time_block["t_max"], "time.t_max", exclusive_minimum=0.0)
-    n_points = _integer(time_block["n_points"], "time.n_points", minimum=2)
-
-    quadrature = ode = None
-    if "numerics" in raw:
-        numerics = raw["numerics"]
-        _check_keys(numerics, "numerics", allowed={"quadrature", "ode"}, required=set())
-        if "quadrature" in numerics:
-            q = numerics["quadrature"]
-            _check_keys(
-                q,
-                "numerics.quadrature",
-                allowed={"abs_tol", "rel_tol", "max_subdivisions",
-                         "tail_cutoff_multiplier"},
-                required=set(),
-            )
-            try:
-                quadrature = QuadratureSpec(
-                    abs_tol=_number(q.get("abs_tol", 1e-10),
-                                    "numerics.quadrature.abs_tol"),
-                    rel_tol=_number(q.get("rel_tol", 1e-10),
-                                    "numerics.quadrature.rel_tol"),
-                    max_subdivisions=_integer(
-                        q.get("max_subdivisions", 2048),
-                        "numerics.quadrature.max_subdivisions",
-                    ),
-                    tail_cutoff_multiplier=_number(
-                        q.get("tail_cutoff_multiplier", 40.0),
-                        "numerics.quadrature.tail_cutoff_multiplier",
-                    ),
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"numerics.quadrature: {exc}") from exc
-        if "ode" in numerics:
-            o = numerics["ode"]
-            _check_keys(
-                o,
-                "numerics.ode",
-                allowed={"abs_tol", "rel_tol", "initial_step", "max_steps"},
-                required=set(),
-            )
-            try:
-                ode = OdeSpec(
-                    abs_tol=_number(o.get("abs_tol", 1e-9), "numerics.ode.abs_tol"),
-                    rel_tol=_number(o.get("rel_tol", 1e-9), "numerics.ode.rel_tol"),
-                    initial_step=_number(o.get("initial_step", 1e-3),
-                                         "numerics.ode.initial_step"),
-                    max_steps=_integer(o.get("max_steps", 1_000_000),
-                                       "numerics.ode.max_steps"),
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"numerics.ode: {exc}") from exc
-
-    output = raw["output"]
-    _check_keys(output, "output", allowed={"csv_path", "report_path"},
-                required={"csv_path", "report_path"})
-    csv_path = _string(output["csv_path"], "output.csv_path")
-    report_path = _string(output["report_path"], "output.report_path")
-
-    return Scenario(
-        model=model,
-        parameters=parameters,
-        t_max=t_max,
-        n_points=n_points,
-        quadrature=quadrature,
-        ode=ode,
-        csv_path=csv_path,
-        report_path=report_path,
-    )
+    keys = ("model", "parameters", "time", "output")
+    _check_keys(raw, "scenario", allowed=keys + ("numerics",), required=keys)
+    model = _string(raw["model"], "model", choices=tuple(_MODELS))
+    parameters = _MODELS[model](raw["parameters"], "parameters")
+    return Scenario(model=model, parameters=parameters, **_TIME(raw["time"], "time"),
+                    **_NUMERICS(raw.get("numerics", {}), "numerics"),
+                    **_OUTPUT(raw["output"], "output"))
 
 
 # ----------------------------------------------------------------------
@@ -496,15 +390,8 @@ def validate_scenario(raw) -> Scenario:
 
 def _dephasing_parts(s: Scenario):
     p = s.parameters
-    model = DephasingModel(
-        omega0=p["omega0"],
-        spectral=SpectralDensity(
-            coupling=p["spectral"]["coupling"],
-            s=p["spectral"]["s"],
-            omega_c=p["spectral"]["omega_c"],
-        ),
-        bath=BathSpec(beta=p["bath"]["beta"]),
-    )
+    model = DephasingModel(omega0=p["omega0"], spectral=SpectralDensity(**p["spectral"]),
+                           bath=BathSpec(**p["bath"]))
     pop = p["initial_population_upper"]
     coh = p["initial_coherence"]
     rho0 = DensityMatrix(
@@ -515,10 +402,8 @@ def _dephasing_parts(s: Scenario):
 
 def _collisional_parts(s: Scenario):
     p = s.parameters
-    if p["law"]["kind"] == "gaussian":
-        law = col.GaussianMomentumLaw(rate=p["rate"], sigma_q=p["law"]["sigma_q"])
-    else:
-        law = col.TwoPointMomentumLaw(rate=p["rate"], q0=p["law"]["q0"])
+    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
+    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
     grid = np.asarray(p["grid"], dtype=float)
     rho0 = col.PositionDensityMatrix.superposition(grid)
     return law, grid, rho0, p["n_q"]
@@ -533,11 +418,9 @@ def _gksl_parts(s: Scenario):
 
 def _read_seed():
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
     try:
         return int(raw)
-    except ValueError:
+    except (TypeError, ValueError):  # unset, or not an integer
         return raw
 
 
@@ -548,16 +431,14 @@ def _read_seed():
 
 def run_scenario(s: Scenario):
     """Execute a scenario; returns (header, rows, InvariantReport)."""
-    if s.model == "dephasing":
-        return _run_dephasing(s)
-    if s.model == "collisional":
-        return _run_collisional(s)
-    return _run_gksl(s)
+    runners = {"dephasing": _run_dephasing, "collisional": _run_collisional}
+    report = InvariantReport(seed=_read_seed())
+    header, rows = runners.get(s.model, _run_gksl)(s, s.time_grid(), report)
+    return header, rows, report.finalize()
 
 
-def _run_dephasing(s: Scenario):
+def _run_dephasing(s: Scenario, t_grid, report: InvariantReport):
     model, rho0 = _dephasing_parts(s)
-    t_grid = s.time_grid()
     quad = s.quadrature
 
     # generator_at warns at every Runge-Kutta stage with a negative rate;
@@ -593,16 +474,11 @@ def _run_dephasing(s: Scenario):
         "trace_drift",
     ]
     rows = []
-    report = InvariantReport(seed=_read_seed())
-    coh_mag_residual = 0.0
-    coh_cplx_residual = 0.0
-    pop_drift = 0.0
     for t, state in zip(t_grid, trajectory):
         m = state.matrix
         gamma = model.dephasing_rate(float(t), quad)
         big_gamma = model.decoherence_function(float(t), quad)
         coh = model._coherence_from(rho0, float(t), big_gamma)
-        trace_drift = abs(complex(np.trace(m)) - 1.0)
         rows.append(
             [
                 float(t),
@@ -612,39 +488,30 @@ def _run_dephasing(s: Scenario):
                 coh.imag,
                 abs(coh),
                 abs(m[0, 1]),
-                trace_drift,
+                report.observe(m),
             ]
         )
-        report.trace_drift_max = max(report.trace_drift_max, trace_drift)
-        report.hermiticity_drift_max = max(
-            report.hermiticity_drift_max, hermiticity_defect(m)
-        )
-        coh_mag_residual = max(coh_mag_residual, abs(abs(coh) - abs(m[0, 1])))
-        coh_cplx_residual = max(coh_cplx_residual, abs(coh - m[0, 1]))
-        pop_drift = max(
-            pop_drift, float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max())
-        )
+        report.residual("coherence_abs_analytic_vs_ode", abs(abs(coh) - abs(m[0, 1])))
+        report.residual("coherence_complex_analytic_vs_ode", abs(coh - m[0, 1]))
+        report.residual("population_drift",
+                        float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()))
 
     t_ref = float(t_grid[-1])
-    report.cross_check_residuals = {
-        "coherence_abs_analytic_vs_ode": coh_mag_residual,
-        "coherence_complex_analytic_vs_ode": coh_cplx_residual,
-        "population_drift": pop_drift,
-        "gamma_two_forms": abs(
+    report.cross_check_residuals.update(
+        gamma_two_forms=abs(
             model.dephasing_rate(t_ref, quad)
             - model.dephasing_rate_from_correlation(t_ref, quad)
         ),
-        "decoherence_function_two_forms": abs(
+        decoherence_function_two_forms=abs(
             model.decoherence_function(t_ref, quad)
             - model.decoherence_function_from_rate(t_ref, quad)
         ),
-    }
-    return header, rows, report.finalize()
+    )
+    return header, rows
 
 
-def _run_collisional(s: Scenario):
+def _run_collisional(s: Scenario, t_grid, report: InvariantReport):
     law, grid, rho0, n_q = _collisional_parts(s)
-    t_grid = s.time_grid()
 
     gen = col.build_discretized_generator(law, grid, n_q)
     trajectory = integrate_constant(gen, rho0, t_grid, s.ode)
@@ -657,75 +524,49 @@ def _run_collisional(s: Scenario):
         "trace_drift",
     ]
     rows = []
-    report = InvariantReport(seed=_read_seed())
-    equivalence_residual = 0.0
-    diag_drift = 0.0
     extreme_dx = float(grid[-1] - grid[0])
     for t, state in zip(t_grid, trajectory):
         exact = col.evolve_exact(rho0, law, float(t))
         m = state.matrix
-        trace_drift = abs(complex(np.trace(m)) - 1.0)
         rows.append(
             [
                 float(t),
                 abs(exact.matrix[0, -1]),
                 abs(m[0, -1]),
                 col.decoherence_factor(law, extreme_dx, float(t)),
-                trace_drift,
+                report.observe(m),
             ]
         )
-        report.trace_drift_max = max(report.trace_drift_max, trace_drift)
-        report.hermiticity_drift_max = max(
-            report.hermiticity_drift_max, hermiticity_defect(m)
-        )
-        equivalence_residual = max(
-            equivalence_residual, float(np.abs(m - exact.matrix).max())
-        )
-        diag_drift = max(
-            diag_drift, float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max())
-        )
+        report.residual("exact_vs_discretized_generator",
+                        float(np.abs(m - exact.matrix).max()))
+        report.residual("diagonal_drift",
+                        float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()))
 
-    report.cross_check_residuals = {
-        "exact_vs_discretized_generator": equivalence_residual,
-        "diagonal_drift": diag_drift,
-    }
-    return header, rows, report.finalize()
+    return header, rows
 
 
-def _run_gksl(s: Scenario):
+def _run_gksl(s: Scenario, t_grid, report: InvariantReport):
     gen, rho0 = _gksl_parts(s)
-    t_grid = s.time_grid()
 
     trajectory = integrate_constant(gen, rho0, t_grid, s.ode)
 
     header = ["t", "trace_re", "purity", "coherence_abs", "trace_drift"]
     rows = []
-    report = InvariantReport(seed=_read_seed())
-    semigroup_residual = 0.0
     for t, state in zip(t_grid, trajectory):
         m = state.matrix
         reference = propagate_semigroup(gen, rho0, float(t))
-        trace = complex(np.trace(m))
-        trace_drift = abs(trace - 1.0)
         rows.append(
             [
                 float(t),
-                trace.real,
+                complex(np.trace(m)).real,
                 float(np.trace(m @ m).real),
                 abs(m[0, 1]),
-                trace_drift,
+                report.observe(m),
             ]
         )
-        report.trace_drift_max = max(report.trace_drift_max, trace_drift)
-        report.hermiticity_drift_max = max(
-            report.hermiticity_drift_max, hermiticity_defect(m)
-        )
-        semigroup_residual = max(
-            semigroup_residual, float(np.abs(m - reference.matrix).max())
-        )
+        report.residual("ode_vs_semigroup", float(np.abs(m - reference.matrix).max()))
 
-    report.cross_check_residuals = {"ode_vs_semigroup": semigroup_residual}
-    return header, rows, report.finalize()
+    return header, rows
 
 
 # ----------------------------------------------------------------------
@@ -767,9 +608,7 @@ def check_cp(s: Scenario, t_list) -> InvariantReport:
         )
         result = is_completely_positive(choi, tol=-CP_EIGENVALUE_FLOOR)
         report.choi_eigenvalue_by_time[f"{t:g}"] = result.min_eigenvalue
-        report.cross_check_residuals[f"choi_negativity_t_{t:g}"] = max(
-            0.0, -result.min_eigenvalue
-        )
+        report.residual(f"choi_negativity_t_{t:g}", -result.min_eigenvalue)
         min_eig = min(min_eig, result.min_eigenvalue)
     report.min_choi_eigenvalue = min_eig
     return report.finalize()
@@ -784,21 +623,27 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(path, header, rows) -> None:
+def _write_text(path, text: str) -> None:
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with open(p, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report(path, report: InvariantReport) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, report.to_dict())
 
 
 # ----------------------------------------------------------------------
@@ -806,21 +651,26 @@ def write_report(path, report: InvariantReport) -> None:
 # ----------------------------------------------------------------------
 
 
-def _load_scenario(path) -> Scenario:
+def _read(path) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    return parse_scenario(data)
 
 
-def _cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario)
+def _run_and_write(scenario: Scenario, label: str) -> InvariantReport:
+    """Run a scenario, write its CSV and report, print one status line."""
     header, rows, report = run_scenario(scenario)
     write_csv(scenario.csv_path, header, rows)
     write_report(scenario.report_path, report)
     status = "ok" if report.passed else "INVARIANT VIOLATION"
-    print(f"{scenario.model}: {len(rows)} rows -> {scenario.csv_path} [{status}]")
+    print(f"{label} -> {scenario.csv_path} [{status}]")
+    return report
+
+
+def _cmd_run(args) -> int:
+    scenario = parse_scenario(_read(args.scenario))
+    report = _run_and_write(scenario, f"{scenario.model}: {scenario.n_points} rows")
     return 0 if report.passed else 1
 
 
@@ -835,7 +685,7 @@ def _parse_times(raw: str):
 
 
 def _cmd_check_cp(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     times = _parse_times(args.times)
     report = check_cp(scenario, times)
     write_report(scenario.report_path, report)
@@ -846,16 +696,18 @@ def _cmd_check_cp(args) -> int:
     return 0 if report.passed else 1
 
 
-def _set_by_path(raw_parameters: dict, dotted: str, value) -> None:
+def _set_by_path(raw_parameters: dict, parameters: dict, dotted: str, value) -> None:
+    """Set a parameter in the raw document; the path is checked against the
+    validated ``parameters``, so a key present only as a default sweeps too."""
     keys = dotted.split(".")
-    node = raw_parameters
-    for key in keys[:-1]:
+    node = parameters
+    for key in keys:
         if not isinstance(node, dict) or key not in node:
             raise ValidationError(f'unknown sweep parameter path "{dotted}"')
         node = node[key]
-    if not isinstance(node, dict) or keys[-1] not in node:
-        raise ValidationError(f'unknown sweep parameter path "{dotted}"')
-    node[keys[-1]] = value
+    for key in keys[:-1]:
+        raw_parameters = raw_parameters[key]
+    raw_parameters[keys[-1]] = value
 
 
 def _suffixed(path: str, suffix: str) -> str:
@@ -864,8 +716,8 @@ def _suffixed(path: str, suffix: str) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load_scenario(args.scenario)  # validate before sweeping
-    raw = base.to_dict()
+    raw = _load_json(_read(args.scenario))
+    base = validate_scenario(raw)  # validate before sweeping
     values = [item.strip() for item in args.values.split(",") if item.strip()]
     if not values:
         raise ValidationError("--values must list at least one value")
@@ -875,16 +727,14 @@ def _cmd_sweep(args) -> int:
     for text in values:
         value = _parse_sweep_value(text)
         variant_raw = copy.deepcopy(raw)
-        _set_by_path(variant_raw["parameters"], args.param, value)
+        _set_by_path(variant_raw["parameters"], base.parameters, args.param, value)
         tag = f"{args.param.replace('.', '_')}_{text}".replace("/", "_")
         variant_raw["output"] = {
-            "csv_path": _suffixed(raw["output"]["csv_path"], tag),
-            "report_path": _suffixed(raw["output"]["report_path"], tag),
+            "csv_path": _suffixed(base.csv_path, tag),
+            "report_path": _suffixed(base.report_path, tag),
         }
         variant = validate_scenario(variant_raw)
-        header, rows, report = run_scenario(variant)
-        write_csv(variant.csv_path, header, rows)
-        write_report(variant.report_path, report)
+        report = _run_and_write(variant, f"{args.param}={text}:")
         runs.append(
             {
                 "value": value,
@@ -893,17 +743,10 @@ def _cmd_sweep(args) -> int:
                 "passed": report.passed,
             }
         )
-        status = "ok" if report.passed else "INVARIANT VIOLATION"
-        print(f"{args.param}={text}: -> {variant.csv_path} [{status}]")
         worst = max(worst, 0 if report.passed else 1)
 
     manifest_path = _suffixed(base.report_path, "sweep_manifest")
-    manifest = {"param": args.param, "values": values, "runs": runs}
-    p = Path(manifest_path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest_path, {"param": args.param, "values": values, "runs": runs})
     print(f"manifest -> {manifest_path}")
     return worst
 
@@ -911,8 +754,6 @@ def _cmd_sweep(args) -> int:
 def _parse_sweep_value(text: str):
     """Numbers become numbers, everything else stays a string (so the
     "inf" beta sentinel and enum-valued keys sweep naturally)."""
-    if text == "inf":
-        return text
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -925,28 +766,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run decoherence-model scenarios from JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a scenario; write CSV and report")
-    p_run.add_argument("scenario", help="path to scenario JSON")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cp = sub.add_parser(
-        "check-cp", help="certify complete positivity of the propagated map"
-    )
-    p_cp.add_argument("scenario", help="path to scenario JSON (gksl or dephasing)")
-    p_cp.add_argument("--times", default="0.1,1,10",
-                      help="comma-separated times (default: 0.1,1,10)")
-    p_cp.set_defaults(func=_cmd_check_cp)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="run the scenario once per value of a swept parameter"
-    )
-    p_sweep.add_argument("scenario", help="path to scenario JSON")
-    p_sweep.add_argument("--param", required=True,
-                         help="dotted path inside parameters, e.g. spectral.s")
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values, e.g. 0.5,1,2")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    commands = {}
+    for name, func, help_text, scenario_help in (
+        ("run", _cmd_run, "run a scenario; write CSV and report", "path to scenario JSON"),
+        ("check-cp", _cmd_check_cp, "certify complete positivity of the propagated map",
+         "path to scenario JSON (gksl or dephasing)"),
+        ("sweep", _cmd_sweep, "run the scenario once per value of a swept parameter",
+         "path to scenario JSON"),
+    ):
+        commands[name] = sub.add_parser(name, help=help_text)
+        commands[name].add_argument("scenario", help=scenario_help)
+        commands[name].set_defaults(func=func)
+    commands["check-cp"].add_argument("--times", default="0.1,1,10",
+                                      help="comma-separated times (default: 0.1,1,10)")
+    commands["sweep"].add_argument("--param", required=True,
+                                   help="dotted path inside parameters, e.g. spectral.s")
+    commands["sweep"].add_argument("--values", required=True,
+                                   help="comma-separated values, e.g. 0.5,1,2")
     return parser
 
 
@@ -955,12 +791,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DecohereError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
 
 
 if __name__ == "__main__":

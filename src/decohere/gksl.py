@@ -20,6 +20,7 @@ building the d^2 x d^2 matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
@@ -144,6 +145,14 @@ class GkslGenerator:
         return self.hamiltonian.shape[0]
 
 
+def _map_matrix(m, name: str) -> np.ndarray:
+    """Finite complex d^2 x d^2 matrix of a map on d-dimensional states."""
+    a = numcore.as_square_complex(m, name)
+    if math.isqrt(a.shape[0]) ** 2 != a.shape[0]:
+        raise DimensionMismatchError(f"{name} size {a.shape[0]} is not a perfect square")
+    return a
+
+
 @dataclass(frozen=True)
 class Superoperator:
     """d^2 x d^2 matrix acting on column-stacked density matrices."""
@@ -151,17 +160,7 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"superoperator must be square, got {m.shape}")
-        d = int(round(m.shape[0] ** 0.5))
-        if d * d != m.shape[0]:
-            raise DimensionMismatchError(
-                f"superoperator size {m.shape[0]} is not a perfect square"
-            )
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValidationError("superoperator contains non-finite entries")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _map_matrix(self.matrix, "superoperator"))
 
     @property
     def dim(self) -> int:
@@ -178,17 +177,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"Choi matrix must be square, got {m.shape}")
-        d = int(round(m.shape[0] ** 0.5))
-        if d * d != m.shape[0]:
-            raise DimensionMismatchError(
-                f"Choi matrix size {m.shape[0]} is not a perfect square"
-            )
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValidationError("Choi matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _map_matrix(self.matrix, "Choi matrix"))
 
     @property
     def dim(self) -> int:

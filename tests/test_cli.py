@@ -113,15 +113,86 @@ def test_parse_error_carries_line_and_column():
     assert excinfo.value.line == 2
 
 
-def test_roundtrip_is_identity(tmp_path):
-    for raw in (
-        dephasing_scenario(tmp_path),
-        collisional_scenario(tmp_path),
-        gksl_scenario(tmp_path),
-    ):
-        s1 = parse_scenario(json.dumps(raw))
-        s2 = parse_scenario(json.dumps(s1.to_dict()))
-        assert s1.to_dict() == s2.to_dict()
+# (factory, path inside the document, new value or DELETE, exact message)
+DELETE = object()
+INVALID_DOCUMENTS = [
+    (dephasing_scenario, ("time",), DELETE, 'missing required key "time" in scenario'),
+    (dephasing_scenario, ("parameters", "bath", "beta"), DELETE,
+     'missing required key "beta" in bath'),
+    (dephasing_scenario, ("extra",), 1, 'unknown key "extra" in scenario'),
+    (dephasing_scenario, ("parameters", "lambda_"), 1, 'unknown key "lambda_" in parameters'),
+    (dephasing_scenario, ("parameters", "spectral", "x"), 1, 'unknown key "x" in spectral'),
+    (dephasing_scenario, ("parameters", "bath", "x"), 1, 'unknown key "x" in bath'),
+    (collisional_scenario, ("parameters", "law", "x"), 1, 'unknown key "x" in law'),
+    (dephasing_scenario, ("numerics",), {"x": {}}, 'unknown key "x" in numerics'),
+    (dephasing_scenario, ("numerics",), {"quadrature": {"x": 1}},
+     'unknown key "x" in numerics.quadrature'),
+    (dephasing_scenario, ("numerics",), {"ode": {"x": 1}}, 'unknown key "x" in numerics.ode'),
+    (dephasing_scenario, ("time", "x"), 1, 'unknown key "x" in time'),
+    (dephasing_scenario, ("output", "x"), 1, 'unknown key "x" in output'),
+    (dephasing_scenario, ("parameters", "omega0"), "x", "omega0 must be a number"),
+    (dephasing_scenario, ("parameters", "spectral"), [], "spectral must be an object"),
+    (dephasing_scenario, ("output", "csv_path"), 1, "output.csv_path must be a string"),
+    (dephasing_scenario, ("time", "n_points"), 1.5, "time.n_points must be an integer"),
+    (dephasing_scenario, ("parameters", "initial_coherence"), [1],
+     "initial_coherence must be a [re, im] pair of numbers"),
+    (dephasing_scenario, ("parameters", "spectral", "coupling"), -1,
+     "spectral.coupling must be >= 0.0"),
+    (dephasing_scenario, ("parameters", "spectral", "s"), 0, "spectral.s must be > 0.0"),
+    (dephasing_scenario, ("parameters", "initial_population_upper"), 2,
+     "initial_population_upper must be <= 1.0"),
+    (dephasing_scenario, ("parameters", "bath", "beta"), -2, "bath.beta must be > 0.0"),
+    (dephasing_scenario, ("time", "n_points"), 1, "time.n_points must be >= 2"),
+    (collisional_scenario, ("parameters", "n_q"), 1, "n_q must be >= 2"),
+    (collisional_scenario, ("parameters", "grid"), [1.0, 0.0],
+     "grid must be strictly ascending"),
+    (dephasing_scenario, ("numerics",), {"quadrature": {"abs_tol": 1e-20}},
+     "numerics.quadrature: abs_tol must be >= 1e-14"),
+    (dephasing_scenario, ("numerics",), {"ode": {"max_steps": 1.5}},
+     "numerics.ode: numerics.ode.max_steps must be an integer"),
+    (collisional_scenario, ("parameters", "law", "kind"), "x",
+     'law.kind must be one of "gaussian", "two_point"'),
+    (gksl_scenario, ("parameters", "rho0"), [[[1, 0], [0, 0]]] * 3,
+     "rho0 must have 2 rows, got 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "factory, path, value, message",
+    INVALID_DOCUMENTS,
+    ids=[f"{case[0].__name__.split('_')[0]}:{'.'.join(case[1])}" for case in INVALID_DOCUMENTS],
+)
+def test_invalid_document_message(tmp_path, factory, path, value, message):
+    raw = factory(tmp_path)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(ValidationError) as excinfo:
+        parse_scenario(json.dumps(raw))
+    assert str(excinfo.value) == message
+
+
+def test_duplicate_keys_are_rejected(tmp_path, capsys):
+    text = json.dumps(gksl_scenario(tmp_path)).replace(
+        '"model": "gksl"', '"model": "gksl", "model": "dephasing"'
+    )
+    with pytest.raises(ParseError, match='duplicate key "model"'):
+        parse_scenario(text)
+    nested = json.dumps(dephasing_scenario(tmp_path)).replace(
+        '"s": 1.0', '"s": 1.0, "s": 2.0'
+    )
+    with pytest.raises(ParseError, match='duplicate key "s"'):
+        parse_scenario(nested)
+    p = tmp_path / "duplicate.json"
+    p.write_text(text)
+    for argv in (["run", str(p)], ["sweep", str(p), "--param", "rho0", "--values", "1"]):
+        assert main(argv) == 2
+        assert 'duplicate key "model"' in capsys.readouterr().err
+    assert not (tmp_path / "gksl.csv").exists()
 
 
 def test_numerics_overrides_validated(tmp_path):
@@ -290,6 +361,25 @@ def test_cli_invalid_json_exits_2(tmp_path):
     assert main(["run", str(p)]) == 2
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    # an output path that names a directory cannot be written
+    raw = dephasing_scenario(tmp_path)
+    raw["output"]["csv_path"] = str(tmp_path)
+    assert main(["run", str(write_scenario(tmp_path, raw))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+    raw = gksl_scenario(tmp_path)
+    raw["output"]["report_path"] = str(tmp_path)
+    assert main(["check-cp", str(write_scenario(tmp_path, raw))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+    # the sweep manifest sits next to the report: make its path a directory
+    raw = dephasing_scenario(tmp_path)
+    (tmp_path / "report_sweep_manifest.json").mkdir()
+    p = write_scenario(tmp_path, raw)
+    assert main(["sweep", str(p), "--param", "spectral.s", "--values", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'report_sweep_manifest.json'}: ")
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -381,6 +471,29 @@ def test_cli_sweep_writes_per_value_outputs_and_manifest(tmp_path):
 def test_cli_sweep_unknown_path_exits_2(tmp_path):
     p = write_scenario(tmp_path, dephasing_scenario(tmp_path))
     assert main(["sweep", str(p), "--param", "spectral.zeta", "--values", "1"]) == 2
+
+
+def test_cli_sweep_unknown_path_message(tmp_path, capsys):
+    p = write_scenario(tmp_path, dephasing_scenario(tmp_path))
+    for path in ("spectral.zeta", "zeta", "initial_coherence.re", "bath.beta.x"):
+        assert main(["sweep", str(p), "--param", path, "--values", "1"]) == 2
+        assert capsys.readouterr().err == f'error: unknown sweep parameter path "{path}"\n'
+
+
+def test_cli_sweep_over_defaulted_key_matches_direct_runs(tmp_path):
+    # collisional_scenario omits n_q, so the swept key exists only as a default
+    p = write_scenario(tmp_path, collisional_scenario(tmp_path))
+    assert main(["sweep", str(p), "--param", "n_q", "--values", "64,128"]) == 0
+    for n_q in (64, 128):
+        raw = collisional_scenario(tmp_path)
+        raw["parameters"]["n_q"] = n_q
+        raw["output"] = {
+            "csv_path": str(tmp_path / f"direct_{n_q}.csv"),
+            "report_path": str(tmp_path / f"direct_{n_q}.json"),
+        }
+        assert main(["run", str(write_scenario(tmp_path, raw, f"scenario_{n_q}.json"))]) == 0
+        swept = (tmp_path / f"col_n_q_{n_q}.csv").read_bytes()
+        assert swept == (tmp_path / f"direct_{n_q}.csv").read_bytes()
 
 
 def test_report_serialization_roundtrip():

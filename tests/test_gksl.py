@@ -9,6 +9,7 @@ import decohere.gksl
 from decohere import (
     SIGMA_X,
     SIGMA_Z,
+    ChoiMatrix,
     DensityMatrix,
     GkslGenerator,
     Superoperator,
@@ -437,6 +438,18 @@ def test_superoperator_apply_roundtrip():
     s = Superoperator(np.eye(9))
     rho = random_density_matrix(rng, 3)
     assert np.abs(s.apply(rho.matrix) - rho.matrix).max() == 0.0
+
+
+@pytest.mark.parametrize("cls, name", [(Superoperator, "superoperator"),
+                                       (ChoiMatrix, "Choi matrix")])
+def test_map_matrices_share_validation(cls, name):
+    assert cls(np.eye(4, dtype=int)).matrix.dtype == np.complex128
+    with pytest.raises(DimensionMismatchError, match=f"{name} must be square"):
+        cls(np.eye(4)[:3])
+    with pytest.raises(DimensionMismatchError, match=f"{name} size 8 is not a perfect square"):
+        cls(np.eye(8))
+    with pytest.raises(ValidationError, match=f"{name} contains non-finite entries"):
+        cls(np.full((4, 4), np.nan))
 
 
 def test_dimension_mismatch_in_apply():
