@@ -10,11 +10,15 @@ Scenario files are strict JSON (unknown and duplicate keys are rejected)
 with an "inf" sentinel string for infinite inverse temperature.  Each
 schema is one table of ``key: (parser, default)`` entries walked by
 ``_obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
-``OdeSpec``, and ``sweep`` patches the document as read.  CSV output uses
-17 significant digits (round-trip exact for doubles) and LF line endings,
-so identical scenarios produce byte-identical files.  Exit codes: 0 ok,
-1 invariant violation, 2 usage/parse/validation error or an unwritable
-output path.
+``OdeSpec``, and ``sweep`` patches the document as read.
+
+Each model family is one ``_Family`` record in ``_FAMILIES`` (schema, CSV
+columns, ``run``, check-cp ``channel``); ``run_scenario`` and ``check_cp``
+walk it and never branch on the model.  CSV output uses 17 significant
+digits (round-trip exact for doubles) and LF line endings, so identical
+scenarios produce byte-identical files.  A NaN drift, residual or Choi
+eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation, 2
+usage/parse/validation error or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 from pathlib import Path
@@ -38,7 +43,6 @@ from .errors import DecohereError, NegativeRateWarning, ParseError, ValidationEr
 from .gksl import (
     DensityMatrix,
     GkslGenerator,
-    Superoperator,
     choi_of_propagator,
     integrate_constant,
     integrate_time_dependent,
@@ -56,6 +60,12 @@ VIOLATION_THRESHOLD = 1e-6
 CP_EIGENVALUE_FLOOR = -1e-8
 
 SEED_ENV_VAR = "DECOHERE_SEED"
+
+
+def _worst(old: float, new: float) -> float:
+    """max(old, new), except that a NaN on either side is kept: a NaN drift
+    must reach the verdict, not be dropped by a later finite value."""
+    return old if math.isnan(old) or new <= old else new
 
 
 # ----------------------------------------------------------------------
@@ -100,25 +110,27 @@ class InvariantReport:
     def observe(self, m) -> float:
         """Fold in one state's trace and Hermiticity drift; return the former."""
         trace_drift = abs(complex(np.trace(m)) - 1.0)
-        self.trace_drift_max = max(self.trace_drift_max, trace_drift)
-        self.hermiticity_drift_max = max(self.hermiticity_drift_max,
-                                         hermiticity_defect(m))
+        self.trace_drift_max = _worst(self.trace_drift_max, trace_drift)
+        self.hermiticity_drift_max = _worst(self.hermiticity_drift_max,
+                                            hermiticity_defect(m))
         return trace_drift
 
     def residual(self, name: str, value: float) -> None:
         """Keep the running max of a cross-check residual."""
-        self.cross_check_residuals[name] = max(
+        self.cross_check_residuals[name] = _worst(
             self.cross_check_residuals.get(name, 0.0), value
         )
 
     def finalize(self) -> "InvariantReport":
+        # Each gate is written so that NaN fails it.
         drifts = {"trace_drift": self.trace_drift_max,
                   "hermiticity_drift": self.hermiticity_drift_max,
                   **self.cross_check_residuals}
-        self.violations += [k for k, v in drifts.items() if v > VIOLATION_THRESHOLD]
+        self.violations += [k for k, v in drifts.items()
+                            if not (v <= VIOLATION_THRESHOLD)]
         if (
             self.min_choi_eigenvalue is not None
-            and self.min_choi_eigenvalue < CP_EIGENVALUE_FLOOR
+            and not (self.min_choi_eigenvalue >= CP_EIGENVALUE_FLOOR)
         ):
             self.violations.append("complete_positivity")
         return self
@@ -312,28 +324,6 @@ def _validate_gksl(params, path) -> dict:
     return {"hamiltonian": h, "lindblad_ops": ops, "kossakowski": a, "rho0": rho0}
 
 
-_MODELS = {
-    "dephasing": _obj({
-        "omega0": (_number, _REQUIRED),
-        "spectral": (_obj({
-            "coupling": (partial(_number, minimum=0.0), _REQUIRED),
-            "s": (_positive, _REQUIRED),
-            "omega_c": (_positive, _REQUIRED),
-        }), _REQUIRED),
-        "bath": (_obj({"beta": (_beta, _REQUIRED)}), _REQUIRED),
-        "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
-        "initial_coherence": (_complex_entry, [0.5, 0.0]),
-    }, name="parameters"),
-    "collisional": _obj({
-        "law": (_law, _REQUIRED),
-        "grid": (_grid, _REQUIRED),
-        "rate": (_positive, _REQUIRED),
-        "n_q": (partial(_integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
-        "initial_state": (partial(_string, choices=("superposition",)), "superposition"),
-    }, name="parameters"),
-    "gksl": _validate_gksl,
-}
-
 _TIME = _obj({"t_max": (_positive, _REQUIRED),
               "n_points": (partial(_integer, minimum=2), _REQUIRED)})
 _NUMERICS = _obj({"quadrature": (_spec(QuadratureSpec), None), "ode": (_spec(OdeSpec), None)})
@@ -376,44 +366,11 @@ def validate_scenario(raw) -> Scenario:
         raise ValidationError("scenario must be a JSON object")
     keys = ("model", "parameters", "time", "output")
     _check_keys(raw, "scenario", allowed=keys + ("numerics",), required=keys)
-    model = _string(raw["model"], "model", choices=tuple(_MODELS))
-    parameters = _MODELS[model](raw["parameters"], "parameters")
+    model = _string(raw["model"], "model", choices=tuple(_FAMILIES))
+    parameters = _FAMILIES[model].schema(raw["parameters"], "parameters")
     return Scenario(model=model, parameters=parameters, **_TIME(raw["time"], "time"),
                     **_NUMERICS(raw.get("numerics", {}), "numerics"),
                     **_OUTPUT(raw["output"], "output"))
-
-
-# ----------------------------------------------------------------------
-# Model assembly
-# ----------------------------------------------------------------------
-
-
-def _dephasing_parts(s: Scenario):
-    p = s.parameters
-    model = DephasingModel(omega0=p["omega0"], spectral=SpectralDensity(**p["spectral"]),
-                           bath=BathSpec(**p["bath"]))
-    pop = p["initial_population_upper"]
-    coh = p["initial_coherence"]
-    rho0 = DensityMatrix(
-        np.array([[pop, coh], [coh.conjugate(), 1.0 - pop]], dtype=complex)
-    )
-    return model, rho0
-
-
-def _collisional_parts(s: Scenario):
-    p = s.parameters
-    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
-    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
-    grid = np.asarray(p["grid"], dtype=float)
-    rho0 = col.PositionDensityMatrix.superposition(grid)
-    return law, grid, rho0, p["n_q"]
-
-
-def _gksl_parts(s: Scenario):
-    p = s.parameters
-    gen = GkslGenerator(p["hamiltonian"], tuple(p["lindblad_ops"]), p["kossakowski"])
-    rho0 = DensityMatrix(p["rho0"])
-    return gen, rho0
 
 
 def _read_seed():
@@ -425,21 +382,23 @@ def _read_seed():
 
 
 # ----------------------------------------------------------------------
-# run
+# Model families, and run / check-cp walking them
 # ----------------------------------------------------------------------
 
 
-def run_scenario(s: Scenario):
-    """Execute a scenario; returns (header, rows, InvariantReport)."""
-    runners = {"dephasing": _run_dephasing, "collisional": _run_collisional}
-    report = InvariantReport(seed=_read_seed())
-    header, rows = runners.get(s.model, _run_gksl)(s, s.time_grid(), report)
-    return header, rows, report.finalize()
+def _dephasing_model(p) -> DephasingModel:
+    return DephasingModel(omega0=p["omega0"], spectral=SpectralDensity(**p["spectral"]),
+                          bath=BathSpec(**p["bath"]))
 
 
-def _run_dephasing(s: Scenario, t_grid, report: InvariantReport):
-    model, rho0 = _dephasing_parts(s)
-    quad = s.quadrature
+def _gksl_generator(p) -> GkslGenerator:
+    return GkslGenerator(p["hamiltonian"], tuple(p["lindblad_ops"]), p["kossakowski"])
+
+
+def _run_dephasing(s: Scenario, t_grid):
+    model, quad = _dephasing_model(s.parameters), s.quadrature
+    pop, coh0 = s.parameters["initial_population_upper"], s.parameters["initial_coherence"]
+    rho0 = DensityMatrix(np.array([[pop, coh0], [coh0.conjugate(), 1.0 - pop]], dtype=complex))
 
     # generator_at warns at every Runge-Kutta stage with a negative rate;
     # the run reports them as one warning.
@@ -463,154 +422,135 @@ def _run_dephasing(s: Scenario, t_grid, report: InvariantReport):
             stacklevel=2,
         )
 
-    header = [
-        "t",
-        "gamma",
-        "Gamma",
-        "coherence_re",
-        "coherence_im",
-        "coherence_abs",
-        "coherence_abs_numeric",
-        "trace_drift",
-    ]
-    rows = []
-    for t, state in zip(t_grid, trajectory):
-        m = state.matrix
-        gamma = model.dephasing_rate(float(t), quad)
-        big_gamma = model.decoherence_function(float(t), quad)
-        coh = model._coherence_from(rho0, float(t), big_gamma)
-        rows.append(
-            [
-                float(t),
-                gamma,
-                big_gamma,
-                coh.real,
-                coh.imag,
-                abs(coh),
-                abs(m[0, 1]),
-                report.observe(m),
-            ]
-        )
-        report.residual("coherence_abs_analytic_vs_ode", abs(abs(coh) - abs(m[0, 1])))
-        report.residual("coherence_complex_analytic_vs_ode", abs(coh - m[0, 1]))
-        report.residual("population_drift",
-                        float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()))
-
-    t_ref = float(t_grid[-1])
-    report.cross_check_residuals.update(
-        gamma_two_forms=abs(
-            model.dephasing_rate(t_ref, quad)
-            - model.dephasing_rate_from_correlation(t_ref, quad)
-        ),
-        decoherence_function_two_forms=abs(
-            model.decoherence_function(t_ref, quad)
-            - model.decoherence_function_from_rate(t_ref, quad)
-        ),
-    )
-    return header, rows
+    for i, (t, state) in enumerate(zip(t_grid, trajectory)):
+        t, m = float(t), state.matrix
+        gamma = model.dephasing_rate(t, quad)
+        big_gamma = model.decoherence_function(t, quad)
+        coh = model._coherence_from(rho0, t, big_gamma)
+        residuals = {
+            "coherence_abs_analytic_vs_ode": abs(abs(coh) - abs(m[0, 1])),
+            "coherence_complex_analytic_vs_ode": abs(coh - m[0, 1]),
+            "population_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
+        }
+        if i == len(t_grid) - 1:  # the two routes to gamma and Gamma, once
+            residuals["gamma_two_forms"] = abs(
+                gamma - model.dephasing_rate_from_correlation(t, quad))
+            residuals["decoherence_function_two_forms"] = abs(
+                big_gamma - model.decoherence_function_from_rate(t, quad))
+        yield m, (gamma, big_gamma, coh.real, coh.imag, abs(coh), abs(m[0, 1])), residuals
 
 
-def _run_collisional(s: Scenario, t_grid, report: InvariantReport):
-    law, grid, rho0, n_q = _collisional_parts(s)
-
-    gen = col.build_discretized_generator(law, grid, n_q)
-    trajectory = integrate_constant(gen, rho0, t_grid, s.ode)
-
-    header = [
-        "t",
-        "offdiag_abs",
-        "offdiag_abs_numeric",
-        "decoherence_factor",
-        "trace_drift",
-    ]
-    rows = []
+def _run_collisional(s: Scenario, t_grid):
+    p = s.parameters
+    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
+    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
+    grid = np.asarray(p["grid"], dtype=float)
+    rho0 = col.PositionDensityMatrix.superposition(grid)
+    gen = col.build_discretized_generator(law, grid, p["n_q"])
     extreme_dx = float(grid[-1] - grid[0])
-    for t, state in zip(t_grid, trajectory):
-        exact = col.evolve_exact(rho0, law, float(t))
-        m = state.matrix
-        rows.append(
-            [
-                float(t),
-                abs(exact.matrix[0, -1]),
-                abs(m[0, -1]),
-                col.decoherence_factor(law, extreme_dx, float(t)),
-                report.observe(m),
-            ]
-        )
-        report.residual("exact_vs_discretized_generator",
-                        float(np.abs(m - exact.matrix).max()))
-        report.residual("diagonal_drift",
-                        float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()))
-
-    return header, rows
+    for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, s.ode)):
+        exact, m = col.evolve_exact(rho0, law, float(t)).matrix, state.matrix
+        values = (abs(exact[0, -1]), abs(m[0, -1]),
+                  col.decoherence_factor(law, extreme_dx, float(t)))
+        yield m, values, {
+            "exact_vs_discretized_generator": float(np.abs(m - exact).max()),
+            "diagonal_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
+        }
 
 
-def _run_gksl(s: Scenario, t_grid, report: InvariantReport):
-    gen, rho0 = _gksl_parts(s)
-
-    trajectory = integrate_constant(gen, rho0, t_grid, s.ode)
-
-    header = ["t", "trace_re", "purity", "coherence_abs", "trace_drift"]
-    rows = []
-    for t, state in zip(t_grid, trajectory):
+def _run_gksl(s: Scenario, t_grid):
+    gen, rho0 = _gksl_generator(s.parameters), DensityMatrix(s.parameters["rho0"])
+    for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, s.ode)):
         m = state.matrix
         reference = propagate_semigroup(gen, rho0, float(t))
-        rows.append(
-            [
-                float(t),
-                complex(np.trace(m)).real,
-                float(np.trace(m @ m).real),
-                abs(m[0, 1]),
-                report.observe(m),
-            ]
-        )
-        report.residual("ode_vs_semigroup", float(np.abs(m - reference.matrix).max()))
-
-    return header, rows
+        values = (complex(np.trace(m)).real, float(np.trace(m @ m).real), abs(m[0, 1]))
+        yield m, values, {"ode_vs_semigroup": float(np.abs(m - reference.matrix).max())}
 
 
-# ----------------------------------------------------------------------
-# check-cp
-# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Family:
+    """One model family, as run_scenario and check_cp see it."""
+
+    schema: Callable  # (raw parameters, path) -> parameters dict
+    columns: tuple  # CSV columns between "t" and "trace_drift"
+    run: Callable  # (scenario, t_grid) -> per time: state, row values, residuals
+    channel: Callable | None  # scenario -> (t -> Superoperator); None: no check-cp
 
 
-def _dephasing_exact_propagator(model: DephasingModel, t: float,
-                                quad: QuadratureSpec | None) -> Superoperator:
-    """Exact (time-ordered) dephasing channel at time t as a superoperator:
-    populations fixed, coherence multiplied by exp(-Gamma(t) - 2i omega0 t)."""
-    f = math.exp(-model.decoherence_function(t, quad)) * np.exp(-2j * model.omega0 * t)
-    return Superoperator(np.diag([1.0, np.conj(f), f, 1.0]))
+_FAMILIES = {
+    "dephasing": _Family(
+        schema=_obj({
+            "omega0": (_number, _REQUIRED),
+            "spectral": (_obj({
+                "coupling": (partial(_number, minimum=0.0), _REQUIRED),
+                "s": (_positive, _REQUIRED),
+                "omega_c": (_positive, _REQUIRED),
+            }), _REQUIRED),
+            "bath": (_obj({"beta": (_beta, _REQUIRED)}), _REQUIRED),
+            "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
+            "initial_coherence": (_complex_entry, [0.5, 0.0]),
+        }, name="parameters"),
+        columns=("gamma", "Gamma", "coherence_re", "coherence_im", "coherence_abs",
+                 "coherence_abs_numeric"),
+        run=_run_dephasing,
+        channel=lambda s: partial(_dephasing_model(s.parameters).channel, quad=s.quadrature),
+    ),
+    "collisional": _Family(
+        schema=_obj({
+            "law": (_law, _REQUIRED),
+            "grid": (_grid, _REQUIRED),
+            "rate": (_positive, _REQUIRED),
+            "n_q": (partial(_integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
+            "initial_state": (partial(_string, choices=("superposition",)), "superposition"),
+        }, name="parameters"),
+        columns=("offdiag_abs", "offdiag_abs_numeric", "decoherence_factor"),
+        run=_run_collisional,
+        channel=None,
+    ),
+    "gksl": _Family(
+        schema=_validate_gksl,
+        columns=("trace_re", "purity", "coherence_abs"),
+        run=_run_gksl,
+        channel=lambda s: partial(semigroup_propagator, _gksl_generator(s.parameters)),
+    ),
+}
+
+
+def run_scenario(s: Scenario):
+    """Execute a scenario; returns (header, rows, InvariantReport)."""
+    family = _FAMILIES[s.model]
+    report = InvariantReport(seed=_read_seed())
+    t_grid = s.time_grid()
+    rows = []
+    for t, (m, values, residuals) in zip(t_grid, family.run(s, t_grid)):
+        rows.append([float(t), *values, report.observe(m)])
+        for name, value in residuals.items():
+            report.residual(name, value)
+    return ["t", *family.columns, "trace_drift"], rows, report.finalize()
 
 
 def check_cp(s: Scenario, t_list) -> InvariantReport:
     """Certify complete positivity of the propagated map at each time."""
-    if s.model == "collisional":
+    channel = _FAMILIES[s.model].channel
+    if channel is None:
         raise ValidationError("check-cp supports gksl and dephasing scenarios only")
-    report = InvariantReport(seed=_read_seed())
-    if s.model == "gksl":
-        gen, _ = _gksl_parts(s)
-        props = [(t, semigroup_propagator(gen, t)) for t in t_list]
-    else:
-        model, _ = _dephasing_parts(s)
-        props = [(t, _dephasing_exact_propagator(model, t, s.quadrature))
-                 for t in t_list]
-
-    min_eig = math.inf
-    report.choi_eigenvalue_by_time = {}
-    for t, prop in props:
-        d = prop.dim
-        ident = vec(np.eye(d, dtype=complex)).conj()
-        trace_row_defect = float(np.abs(ident @ prop.matrix - ident).max())
-        report.trace_drift_max = max(report.trace_drift_max, trace_row_defect)
+    propagator = channel(s)
+    report = InvariantReport(seed=_read_seed(), choi_eigenvalue_by_time={})
+    negativity = -math.inf  # largest -(min Choi eigenvalue) over the times
+    for t in t_list:
+        prop = propagator(t)
+        ident = vec(np.eye(prop.dim, dtype=complex)).conj()
+        report.trace_drift_max = _worst(report.trace_drift_max,
+                                        float(np.abs(ident @ prop.matrix - ident).max()))
         choi = choi_of_propagator(prop)
-        report.hermiticity_drift_max = max(
-            report.hermiticity_drift_max, hermiticity_defect(choi.matrix)
-        )
+        report.hermiticity_drift_max = _worst(report.hermiticity_drift_max,
+                                              hermiticity_defect(choi.matrix))
         result = is_completely_positive(choi, tol=-CP_EIGENVALUE_FLOOR)
-        report.choi_eigenvalue_by_time[f"{t:g}"] = result.min_eigenvalue
-        report.residual(f"choi_negativity_t_{t:g}", -result.min_eigenvalue)
-        min_eig = min(min_eig, result.min_eigenvalue)
-    report.min_choi_eigenvalue = min_eig
+        key = repr(float(t)).removesuffix(".0")  # distinct for distinct times
+        report.choi_eigenvalue_by_time[key] = result.min_eigenvalue
+        report.residual(f"choi_negativity_t_{key}", -result.min_eigenvalue)
+        negativity = _worst(negativity, -result.min_eigenvalue)
+    report.min_choi_eigenvalue = -negativity
     return report.finalize()
 
 
@@ -681,6 +621,8 @@ def _parse_times(raw: str):
         raise ValidationError(f"--times must be comma-separated numbers: {exc}")
     if not times or any(t < 0 or not math.isfinite(t) for t in times):
         raise ValidationError("--times must be finite and >= 0")
+    if len(set(times)) != len(times):
+        raise ValidationError("--times must not repeat a time")
     return times
 
 
@@ -722,7 +664,6 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValidationError("--values must list at least one value")
 
-    worst = 0
     runs = []
     for text in values:
         value = _parse_sweep_value(text)
@@ -743,12 +684,11 @@ def _cmd_sweep(args) -> int:
                 "passed": report.passed,
             }
         )
-        worst = max(worst, 0 if report.passed else 1)
 
     manifest_path = _suffixed(base.report_path, "sweep_manifest")
     _write_json(manifest_path, {"param": args.param, "values": values, "runs": runs})
     print(f"manifest -> {manifest_path}")
-    return worst
+    return 0 if all(run["passed"] for run in runs) else 1
 
 
 def _parse_sweep_value(text: str):

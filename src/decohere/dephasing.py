@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativeFrequencyError, NegativeRateWarning, ValidationError
-from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator
+from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator, Superoperator
 from .numcore import (
     DEFAULT_QUADRATURE,
     OSC_THRESHOLD,
@@ -329,6 +329,12 @@ class DephasingModel:
         if c0 == 0:
             return 0.0j
         return c0 * math.exp(-gamma_int) * np.exp(-2j * self.omega0 * t)
+
+    def channel(self, t: float, quad: QuadratureSpec | None = None) -> Superoperator:
+        """Exact (time-ordered) dephasing channel at time t as a superoperator:
+        populations fixed, coherence multiplied by exp(-Gamma(t) - 2i omega0 t)."""
+        f = math.exp(-self.decoherence_function(t, quad)) * np.exp(-2j * self.omega0 * t)
+        return Superoperator(np.diag([1.0, np.conj(f), f, 1.0]))
 
     def generator_at(self, t: float, quad: QuadratureSpec | None = None) -> GkslGenerator:
         """Generator of the time-local master equation at time t:

@@ -1,11 +1,14 @@
 import json
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import decohere.cli as cli
+from decohere import CpCheckResult
 from decohere.cli import (
     InvariantReport,
     check_cp,
@@ -449,6 +452,77 @@ def test_cli_check_cp_command(tmp_path):
     report = json.loads((tmp_path / "gksl_report.json").read_text())
     assert report["min_choi_eigenvalue"] >= -1e-8
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("times, keys", [
+    (["--times", "1,1.000001,1.0000001"], ["1", "1.000001", "1.0000001"]),
+    ([], ["0.1", "1", "10"]),  # the default times keep their keys
+])
+def test_cli_check_cp_keys_each_time(tmp_path, capsys, times, keys):
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["check-cp", str(p), *times]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"t={k}" for k in keys]
+    report = json.loads((tmp_path / "gksl_report.json").read_text())
+    assert list(report["choi_eigenvalue_by_time"]) == keys
+    assert list(report["cross_check_residuals"]) == [f"choi_negativity_t_{k}" for k in keys]
+
+
+@pytest.mark.parametrize("times", ["1,1.0", "2,0.5,2", "0,-0"])
+def test_cli_check_cp_rejects_duplicate_times(tmp_path, capsys, times):
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["check-cp", str(p), "--times", times]) == 2
+    assert capsys.readouterr().err == "error: --times must not repeat a time\n"
+
+
+# ----------------------------------------------------------------------
+# NaN verdicts
+# ----------------------------------------------------------------------
+
+
+def test_nan_fails_every_gate():
+    nan = math.nan
+    assert InvariantReport(trace_drift_max=nan).finalize().violations == ["trace_drift"]
+    assert InvariantReport(hermiticity_drift_max=nan).finalize().violations == [
+        "hermiticity_drift"]
+    report = InvariantReport(cross_check_residuals={"x": nan}).finalize()
+    assert report.violations == ["x"] and report.to_dict()["passed"] is False
+    report = InvariantReport(min_choi_eigenvalue=nan).finalize()
+    assert report.violations == ["complete_positivity"] and not report.passed
+
+
+def test_nan_survives_the_running_maxima():
+    report = InvariantReport()
+    report.residual("x", 1e-9)
+    report.residual("x", math.nan)
+    report.residual("x", 1e-9)
+    report.observe(np.full((2, 2), math.nan))
+    report.observe(np.eye(2) / 2)
+    assert math.isnan(report.cross_check_residuals["x"])
+    assert math.isnan(report.trace_drift_max) and math.isnan(report.hermiticity_drift_max)
+    assert report.finalize().violations == ["trace_drift", "hermiticity_drift", "x"]
+
+
+def test_cli_run_nan_cross_check_exits_1(tmp_path, monkeypatch):
+    nan_state = types.SimpleNamespace(matrix=np.full((2, 2), math.nan))
+    monkeypatch.setattr(cli, "propagate_semigroup", lambda gen, rho0, t: nan_state)
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["run", str(p)]) == 1
+    report = json.loads((tmp_path / "gksl_report.json").read_text())
+    assert report["violations"] == ["ode_vs_semigroup"] and report["passed"] is False
+
+
+def test_cli_check_cp_nan_eigenvalue_exits_1(tmp_path, monkeypatch, capsys):
+    def nan_check(choi, tol):
+        return CpCheckResult(False, math.nan, np.full(choi.matrix.shape[0], math.nan), tol)
+
+    monkeypatch.setattr(cli, "is_completely_positive", nan_check)
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["check-cp", str(p), "--times", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "overall min Choi eigenvalue nan [NOT COMPLETELY POSITIVE]")
+    report = json.loads((tmp_path / "gksl_report.json").read_text())
+    assert report["violations"] == ["choi_negativity_t_1", "complete_positivity"]
 
 
 # ----------------------------------------------------------------------

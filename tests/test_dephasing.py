@@ -14,6 +14,7 @@ from decohere import (
     DephasingModel,
     SpectralDensity,
     apply_generator,
+    choi_of_propagator,
     integrate_time_dependent,
 )
 from decohere.errors import (
@@ -246,6 +247,24 @@ def test_coherence_never_grows():
     model = DephasingModel(1.0, SpectralDensity(0.5, 1.0, 1.0), BathSpec(2.0))
     magnitudes = [abs(model.coherence(PLUS, t)) for t in (0.0, 0.5, 1.0, 3.0)]
     assert all(m <= magnitudes[0] + 1e-12 for m in magnitudes)
+
+
+@pytest.mark.parametrize("beta", [math.inf, 5.0, 0.3])
+@pytest.mark.parametrize("omega0", [0.0, 0.8, -2.5])
+def test_channel_is_the_exact_solution(omega0, beta):
+    model = DephasingModel(omega0, SpectralDensity(0.7, 1.5, 2.0), BathSpec(beta))
+    rho0 = DensityMatrix(np.array([[0.3, 0.2 - 0.35j], [0.2 + 0.35j, 0.7]]))
+    for t in (0.0, 0.05, 0.7, 3.0, 12.0):
+        channel = model.channel(t)
+        out = channel.apply(rho0.matrix)
+        assert np.array_equal(np.diag(out), np.diag(rho0.matrix))
+        assert abs(out[0, 1] - model.coherence(rho0, t)) <= 1e-15
+        assert out[1, 0] == np.conj(out[0, 1])
+        # Choi matrix [[1, f], [f*, 1]] on span{|00>, |11>}, zero elsewhere
+        f = np.exp(-model.decoherence_function(t) - 2j * omega0 * t)
+        spectrum = np.linalg.eigvalsh(choi_of_propagator(channel).matrix)
+        closed_form = np.sort([0.0, 0.0, 1.0 - abs(f), 1.0 + abs(f)])
+        assert np.abs(spectrum - closed_form).max() <= 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_density_matrix, random_generator
+from helpers import random_density_matrix, random_generator, random_hermitian
 
 import decohere.gksl
 from decohere import (
@@ -413,6 +415,36 @@ def test_canonical_form_rank_one_coupling():
     phase = combined[0, 1] / target[0, 1]
     assert abs(abs(phase) - 1.0) < 1e-12
     assert np.abs(combined - phase * target).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 6),
+    m=st.integers(1, 4),
+    norms=st.lists(st.floats(0.3, 3.0), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_generator_canonical_form_and_cp(d, m, norms, seed):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d, norms[0])
+    ops = []
+    for norm in norms[1:m + 1]:
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        ops.append(norm * op / np.linalg.norm(op, 2))
+    b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    a = b @ b.conj().T
+    gen = GkslGenerator(h, tuple(ops), norms[-1] * a / np.linalg.norm(a, 2))
+    assert _entrywise_kernel(gen) is None
+
+    canon = canonical_form(gen)
+    for _ in range(3):
+        rho = random_density_matrix(rng, d)
+        want = apply_generator(gen, rho)
+        got = apply_generator(canon, rho)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for t in (0.1, 1.0):
+        result = is_completely_positive(choi_of_propagator(semigroup_propagator(gen, t)))
+        assert result.min_eigenvalue >= -1e-8
 
 
 def test_canonical_form_equivalence_on_random_states():
