@@ -573,8 +573,20 @@ def _write_text(path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def _strict_json(obj):
+    """obj with each non-finite float replaced by the string "NaN",
+    "Infinity" or "-Infinity", which strict JSON can hold."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)
+    return obj
+
+
 def _write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    _write_text(path, json.dumps(_strict_json(obj), indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -21,6 +21,11 @@ Conventions (pinned here, used consistently everywhere):
   coherence by exp(-integral of gamma) = exp(-Gamma), consistent with the
   exact solution and with gamma(t) = integral of J(w) coth(beta w/2)
   sin(w t)/w dw.
+
+The spectral integrals gamma, Gamma and the real and imaginary parts of
+the bath correlation alpha differ only in their weight, J or J coth, and
+their kernel k(w, t); each is one entry of ``_KERNELS``, which both the
+panel rule and its QUADPACK fallback read.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .errors import NegativeFrequencyError, NegativeRateWarning, ValidationError
 from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator, Superoperator
 from .numcore import (
     DEFAULT_QUADRATURE,
-    OSC_THRESHOLD,
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
@@ -48,6 +52,32 @@ from .numcore import (
 # relative tolerance so the check stays meaningful for large hot-bath
 # values of Gamma.
 _CROSS_CHECK_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-11)
+
+
+def _from_zero(t: float, integral) -> float:
+    """integral(), for a quantity of t >= 0 that vanishes at t = 0."""
+    if t < 0:
+        raise ValidationError("t must be >= 0")
+    return 0.0 if t == 0.0 else integral()
+
+
+def _half_angle(a, w, t):
+    # (1 - cos(w t))/w^2 = 2 (sin(w t/2)/w)^2, free of cancellation
+    half = np.sin(0.5 * t * w) / w
+    return a * 2.0 * half * half
+
+
+# Every spectral integral is the integral over w in (0, inf) of a weight,
+# J(w) coth(beta w/2) (thermal) or J(w), times a kernel k(w, t), as
+# kind: (thermal, kernel, (trig, m)).  kernel(a, w, t) multiplies the
+# weight a by k(w, t) without cancellation at w > 0; (trig, m) is the same
+# k as trig(w t) / w^m, the form integrate_oscillatory takes.
+_KERNELS = {
+    "gamma": (True, lambda a, w, t: a * np.sin(t * w) / w, ("sin", 1)),
+    "Gamma": (True, _half_angle, ("1-cos", 2)),
+    "Re alpha": (True, lambda a, w, t: a * np.cos(t * w), ("cos", 0)),
+    "Im alpha": (False, lambda a, w, t: a * np.sin(t * w), ("sin", 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -132,9 +162,9 @@ class DephasingModel:
 
     # -- spectral integrals ------------------------------------------------
     #
-    # Each integral over w runs first through the Gauss panel rule, on the
-    # same truncated range the QUADPACK route uses, and falls back to that
-    # route when the rule's error estimate misses the tolerance.
+    # Each integral over w reads one _KERNELS entry, through the panel rule
+    # with the weight as an array or, on fallback, integrate_oscillatory
+    # with the scalar weight, on the same truncated range.
 
     @cached_property
     def _panel_rule(self) -> PanelRule:
@@ -143,40 +173,42 @@ class DephasingModel:
         T = 0.  Built once per model."""
         return PanelRule(self.spectral.s - (0.0 if self.bath.zero_temperature else 1.0))
 
-    def _envelope(self, w: np.ndarray) -> np.ndarray:
+    def _panel_weight(self, w: np.ndarray, thermal: bool) -> np.ndarray:
+        """J(w) coth(beta w/2) / w^p (thermal) or J(w) / w^p for the panel
+        rule's power p, smooth on [0, inf)."""
         j = self.spectral
-        return (j.coupling * j.omega_c ** (1.0 - j.s)) * np.exp(w * (-1.0 / j.omega_c))
-
-    def _bare(self, w: np.ndarray) -> np.ndarray:
-        """J(w) / w^p for the panel rule's power p, smooth on [0, inf)."""
+        envelope = (j.coupling * j.omega_c ** (1.0 - j.s)) * np.exp(w * (-1.0 / j.omega_c))
         if self.bath.zero_temperature:
-            return self._envelope(w)
-        return self._envelope(w) * w
+            return envelope
+        return envelope * (self.bath.thermal_weight(w) if thermal else w)
 
-    def _dressed(self, w: np.ndarray) -> np.ndarray:
-        """J(w) coth(beta w/2) / w^p for the panel rule's power p."""
-        if self.bath.zero_temperature:
-            return self._envelope(w)
-        return self._envelope(w) * self.bath.thermal_weight(w)
-
-    def _spectral_integral(self, g, t: float, quad: QuadratureSpec | None,
-                           fallback) -> float:
-        """Integral over w of w^p g(w), for g oscillating like sin/cos(w t),
-        by the panel rule, or fallback() when its estimate misses quad."""
+    def _spectral_integral(self, kind: str, t: float, quad: QuadratureSpec | None) -> float:
+        """The integral ``kind`` of :data:`_KERNELS` at t >= 0, by the panel
+        rule, or by one QUADPACK route when the rule's estimate misses quad."""
+        thermal, kernel, (trig, m) = _KERNELS[kind]
+        weight = self._thermal if thermal else self.spectral
         spec = quad or DEFAULT_QUADRATURE
         wc = self.spectral.omega_c
         bath = self.bath
         value, _ = integrate_panels(
-            g,
+            lambda w: kernel(self._panel_weight(w, thermal), w, t),
             self._panel_rule,
             spec.tail_cutoff_multiplier * wc,
             min(math.pi / t, wc) if t > 0 else wc,
             spec,
             # coth(beta w/2) has poles at w = 2 pi i k / beta
             head_width=math.inf if bath.zero_temperature else 2 * math.pi / bath.beta,
-            fallback=fallback,
+            fallback=lambda: integrate_oscillatory(
+                lambda w: weight(w) / w**m, trig, t, 0.0, math.inf, spec,
+                scale=wc, head=lambda w: kernel(weight(w), w, t),
+            ),
         )
         return value
+
+    def _tau_integral(self, f, t: float) -> float:
+        """Integral of f(tau) over (0, t): the outer integral of the
+        two-form cross-checks."""
+        return _from_zero(t, lambda: integrate_adaptive(f, 0.0, t, _CROSS_CHECK_SPEC)[0])
 
     # -- bath correlation function -------------------------------------
 
@@ -186,127 +218,33 @@ class DephasingModel:
         Even real part, odd imaginary part in t."""
         if not math.isfinite(t):
             raise ValidationError("t must be finite")
-        wc = self.spectral.omega_c
-        if t == 0.0:
-            real = self._spectral_integral(
-                self._dressed, 0.0, quad,
-                lambda: integrate_adaptive(self._thermal, 0.0, math.inf, quad, scale=wc),
-            )
-            return complex(real, 0.0)
-
-        abs_t = abs(t)
-        real = self._spectral_integral(
-            lambda w: self._dressed(w) * np.cos(abs_t * w), abs_t, quad,
-            lambda: integrate_oscillatory(
-                self._thermal, "cos", abs_t, 0.0, math.inf, quad, scale=wc
-            ),
-        )
-        imag = self._spectral_integral(
-            lambda w: self._bare(w) * np.sin(abs_t * w), abs_t, quad,
-            lambda: integrate_oscillatory(
-                self.spectral, "sin", abs_t, 0.0, math.inf, quad, scale=wc
-            ),
-        )
-        return complex(real, -math.copysign(1.0, t) * imag)
+        real = self._spectral_integral("Re alpha", abs(t), quad)
+        imag = self._spectral_integral("Im alpha", abs(t), quad)
+        return complex(real, -imag if t > 0 else imag)
 
     # -- dephasing rate gamma(t) ----------------------------------------
 
     def dephasing_rate(self, t: float, quad: QuadratureSpec | None = None) -> float:
         """gamma(t) = integral of J(w) coth(beta w/2) sin(w t)/w dw."""
-        if t < 0:
-            raise ValidationError("t must be >= 0")
-        if t == 0.0:
-            return 0.0
-        # The rule's nodes are > 0, where sin(w t)/w is accurate as written.
-        return self._spectral_integral(
-            lambda w: self._dressed(w) * np.sin(t * w) / w, t, quad,
-            lambda: self._rate_by_quadpack(t, quad),
-        )
-
-    def _rate_by_quadpack(self, t: float, quad: QuadratureSpec | None) -> tuple[float, float]:
-        return integrate_oscillatory(
-            lambda w: self._thermal(w) / w,
-            "sin",
-            t,
-            0.0,
-            math.inf,
-            quad,
-            scale=self.spectral.omega_c,
-            head=lambda w: self._thermal(w) * t * np.sinc(w * t / math.pi),
-        )
+        return _from_zero(t, lambda: self._spectral_integral("gamma", t, quad))
 
     def dephasing_rate_from_correlation(
         self, t: float, quad: QuadratureSpec | None = None
     ) -> float:
         """Independent route: Re integral of alpha(tau) for tau in (0, t)."""
-        if t < 0:
-            raise ValidationError("t must be >= 0")
-        if t == 0.0:
-            return 0.0
-        value, _ = integrate_adaptive(
-            lambda tau: self.bath_correlation(tau, quad).real,
-            0.0,
-            t,
-            _CROSS_CHECK_SPEC,
-        )
-        return value
+        return self._tau_integral(lambda tau: self.bath_correlation(tau, quad).real, t)
 
     # -- decoherence function Gamma(t) ----------------------------------
 
     def decoherence_function(self, t: float, quad: QuadratureSpec | None = None) -> float:
         """Gamma(t) = integral of J(w) coth(beta w/2) (1 - cos(w t))/w^2 dw."""
-        if t < 0:
-            raise ValidationError("t must be >= 0")
-        if t == 0.0:
-            return 0.0
-        def g(w):
-            # (1 - cos(w t))/w^2 = 2 (sin(w t/2)/w)^2, free of cancellation
-            # at the rule's nodes (all > 0).
-            half = np.sin(0.5 * t * w) / w
-            return self._dressed(w) * 2.0 * half * half
-
-        return self._spectral_integral(
-            g, t, quad, lambda: self._decoherence_by_quadpack(t, quad)
-        )
-
-    def _decoherence_by_quadpack(
-        self, t: float, quad: QuadratureSpec | None
-    ) -> tuple[float, float]:
-        def integrand(w):
-            # (1 - cos x)/x^2 = (sin(x/2)/(x/2))^2 / 2, cancellation-free
-            half_sinc = np.sinc(w * t / (2.0 * math.pi))
-            return self._thermal(w) * 0.5 * t * t * half_sinc * half_sinc
-
-        spec = quad or DEFAULT_QUADRATURE
-        upper = spec.tail_cutoff_multiplier * self.spectral.omega_c
-        if t * upper <= OSC_THRESHOLD:
-            return integrate_adaptive(integrand, 0.0, upper, quad, breakpoints=(1.0 / t,))
-
-        # Fast oscillation: keep the infrared stretch [0, 1/t] as the full
-        # regularized integrand, then split 1 - cos into a smooth tail and
-        # a weighted-oscillatory tail (each finite away from w = 0).
-        split = 1.0 / t
-        envelope = lambda w: self._thermal(w) / (w * w)  # noqa: E731
-        head, head_err = integrate_adaptive(integrand, 0.0, split, quad)
-        smooth, smooth_err = integrate_adaptive(envelope, split, upper, quad)
-        oscillating, osc_err = integrate_oscillatory(envelope, "cos", t, split, upper, quad)
-        return head + smooth - oscillating, head_err + smooth_err + osc_err
+        return _from_zero(t, lambda: self._spectral_integral("Gamma", t, quad))
 
     def decoherence_function_from_rate(
         self, t: float, quad: QuadratureSpec | None = None
     ) -> float:
         """Independent route: integral of gamma(tau) for tau in (0, t)."""
-        if t < 0:
-            raise ValidationError("t must be >= 0")
-        if t == 0.0:
-            return 0.0
-        value, _ = integrate_adaptive(
-            lambda tau: self.dephasing_rate(tau, quad),
-            0.0,
-            t,
-            _CROSS_CHECK_SPEC,
-        )
-        return value
+        return self._tau_integral(lambda tau: self.dephasing_rate(tau, quad), t)
 
     # -- exact solution ---------------------------------------------------
 

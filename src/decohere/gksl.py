@@ -345,7 +345,8 @@ def _integrate(rhs, rho0, t_grid, spec) -> list[DensityMatrix]:
         m = unvec(row, d)
         trace_drift = abs(complex(np.trace(m)) - 1.0)
         herm_drift = numcore.hermiticity_defect(m)
-        if trace_drift > DRIFT_ERROR_THRESHOLD or herm_drift > DRIFT_ERROR_THRESHOLD:
+        # written so that a NaN drift fails the gate
+        if not (trace_drift <= DRIFT_ERROR_THRESHOLD and herm_drift <= DRIFT_ERROR_THRESHOLD):
             raise InvariantViolationError(
                 f"invariant drift exceeded {DRIFT_ERROR_THRESHOLD:.0e}: "
                 f"trace {trace_drift:.3e}, Hermiticity {herm_drift:.3e}"

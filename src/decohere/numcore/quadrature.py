@@ -12,14 +12,15 @@ an integrand oscillating as sin/cos(w t)), and Gauss-Legendre panels of at
 most that width cover the rest.  g is evaluated once, as one numpy array
 over the nodes of an n- and a 2n-point rule on every panel; the sum of
 their per-panel differences, plus a roundoff floor, is the error estimate.
-When that estimate misses max(abs_tol, rel_tol * |value|), or the panel
-count exceeds ``max_subdivisions``, the caller's fallback (the QUADPACK
-route below) computes the integral instead.
+When that estimate misses max(abs_tol, rel_tol * |value|), the values
+are not finite, or the panel count exceeds ``max_subdivisions``, the
+caller's fallback computes the integral instead.
 
 :func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
-bisection (QUADPACK).  For a trigonometric factor sin/cos(omega*t) spanning
-many oscillation periods, :func:`integrate_oscillatory` hands the
-trigonometric weight to an adaptive Clenshaw-Curtis rule instead.
+bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
+spectral integrals, takes an envelope times sin(t w), cos(t w) or
+1 - cos(t w); once that factor spans many oscillation periods it hands
+the trigonometric weight to an adaptive Clenshaw-Curtis rule instead.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ from ..errors import (
 )
 
 # A trigonometric factor is treated as oscillatory once t * interval length
-# exceeds this (public so callers can mirror the branch).
+# exceeds this.
 OSC_THRESHOLD = 20.0
+
+# The oscillating factors of integrate_oscillatory, by kind.
+_TRIG = {"sin": math.sin, "cos": math.cos, "1-cos": lambda x: 1.0 - math.cos(x)}
 
 
 @dataclass(frozen=True)
@@ -153,33 +157,38 @@ def integrate_oscillatory(
     scale: float | None = None,
     head: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
-    """Integrate envelope(w) * sin(t w) (kind="sin") or * cos(t w)
-    (kind="cos") over (a, b), b possibly +inf.
+    """Integrate envelope(w) times sin(t w) (kind="sin"), cos(t w)
+    (kind="cos") or 1 - cos(t w) (kind="1-cos") over (a, b), b possibly
+    +inf, for t >= 0.
 
     For slow oscillation the product is integrated directly.  Otherwise a
-    weighted Clenshaw-Curtis rule handles the bulk; the first stretch
+    weighted Clenshaw-Curtis rule handles the bulk (for "1-cos", the plain
+    integral of envelope minus the cosine-weighted one); the first stretch
     [a, a + 1/t] is integrated as the plain product via ``head``, which
     callers supply when envelope alone is singular at ``a`` (the weighted
     rule evaluates at interval endpoints, the plain rule does not).
     """
     spec = spec or DEFAULT_QUADRATURE
-    if kind not in ("sin", "cos"):
-        raise ValidationError('kind must be "sin" or "cos"')
-    if not (t > 0):
-        raise ValidationError("oscillation parameter t must be > 0")
+    if kind not in _TRIG:
+        raise ValidationError('kind must be "sin", "cos" or "1-cos"')
+    if not (t >= 0):
+        raise ValidationError("oscillation parameter t must be >= 0")
     b = _truncate(a, b, spec, scale)
     if b == a:
         return 0.0, 0.0
 
-    trig = math.sin if kind == "sin" else math.cos
     if head is None:
-        head = lambda w: envelope(w) * trig(t * w)  # noqa: E731
+        head = lambda w: envelope(w) * _TRIG[kind](t * w)  # noqa: E731
 
     if t * (b - a) <= OSC_THRESHOLD:
         return integrate_adaptive(head, a, b, spec)
 
     split = a + 1.0 / t
     head_value, head_err = _invoke_quad(head, a, split, spec)
+    if kind == "1-cos":
+        smooth, smooth_err = _invoke_quad(envelope, split, b, spec)
+        osc, osc_err = _invoke_quad(envelope, split, b, spec, weight="cos", wvar=t)
+        return head_value + smooth - osc, head_err + smooth_err + osc_err
     bulk_value, bulk_err = _invoke_quad(envelope, split, b, spec, weight=kind, wvar=t)
     return head_value + bulk_value, head_err + bulk_err
 

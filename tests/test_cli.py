@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import decohere.cli as cli
+import decohere.gksl
 from decohere import CpCheckResult
 from decohere.cli import (
     InvariantReport,
@@ -510,6 +511,39 @@ def test_cli_run_nan_cross_check_exits_1(tmp_path, monkeypatch):
     assert main(["run", str(p)]) == 1
     report = json.loads((tmp_path / "gksl_report.json").read_text())
     assert report["violations"] == ["ode_vs_semigroup"] and report["passed"] is False
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_run_nan_report_is_strict_json(tmp_path, monkeypatch):
+    nan_state = types.SimpleNamespace(matrix=np.full((2, 2), math.nan))
+    monkeypatch.setattr(cli, "propagate_semigroup", lambda gen, rho0, t: nan_state)
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["run", str(p)]) == 1
+    report = _strict_loads((tmp_path / "gksl_report.json").read_text())
+    assert report["cross_check_residuals"]["ode_vs_semigroup"] == "NaN"
+
+
+def test_write_json_spells_non_finite_floats(tmp_path):
+    obj = {"a": [math.inf, -math.inf, 1.5], "b": {"c": math.nan}, "d": None}
+    cli._write_json(tmp_path / "x.json", obj)
+    assert _strict_loads((tmp_path / "x.json").read_text()) == {
+        "a": ["Infinity", "-Infinity", 1.5], "b": {"c": "NaN"}, "d": None}
+
+
+def test_cli_run_nan_state_exits_1(tmp_path, monkeypatch, capsys):
+    def nan_solve(rhs, y0, t_grid, spec):
+        return np.full((len(t_grid), y0.size), math.nan, dtype=complex)
+
+    monkeypatch.setattr(decohere.gksl.numcore, "ode_solve", nan_solve)
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: invariant drift exceeded")
 
 
 def test_cli_check_cp_nan_eigenvalue_exits_1(tmp_path, monkeypatch, capsys):

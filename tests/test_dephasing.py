@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -352,6 +353,32 @@ def test_finite_temperature_against_mpmath():
     assert model.decoherence_function(t) == pytest.approx(float(decoherence), rel=1e-9)
 
 
+def _alpha_t0(lam, s, wc, t):
+    # integral of lam wc^(1-s) w^s e^(-w/wc) e^(-i w t) dw
+    return lam * wc**2 * math.gamma(s + 1) * (1 + 1j * wc * t) ** -(s + 1)
+
+
+@contextlib.contextmanager
+def _quadpack_route():
+    """Send every spectral integral to its QUADPACK fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decohere.dephasing, "integrate_panels",
+                   lambda *args, fallback, **kwargs: fallback())
+        yield
+
+
+@pytest.mark.parametrize("route", ["panels", "quadpack"])
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 3.5])
+@pytest.mark.parametrize("wc", [1.0, 5.0])
+def test_zero_temperature_correlation_closed_form(s, wc, route):
+    model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(math.inf))
+    times = [0.0, -0.02, -1.3, -9.0, *np.geomspace(0.01, 50.0, 9)]
+    with _quadpack_route() if route == "quadpack" else contextlib.nullcontext():
+        for t in times:
+            got, want = model.bath_correlation(t), _alpha_t0(0.7, s, wc, t)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, got, want)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     lam=st.floats(0.01, 3.0),
@@ -362,10 +389,16 @@ def test_finite_temperature_against_mpmath():
 )
 def test_engine_matches_quadpack_route(lam, s, wc, beta, t):
     model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
-    for got, (want, _) in ((model.dephasing_rate(t), model._rate_by_quadpack(t, None)),
-                           (model.decoherence_function(t),
-                            model._decoherence_by_quadpack(t, None))):
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def values():
+        alpha = model.bath_correlation(t)
+        return (model.dephasing_rate(t), model.decoherence_function(t), alpha.real, alpha.imag)
+
+    got = values()
+    with _quadpack_route():
+        want = values()
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
 def test_tight_tolerance_falls_back_to_quadpack(monkeypatch):
@@ -379,12 +412,13 @@ def test_tight_tolerance_falls_back_to_quadpack(monkeypatch):
 
         return panels(*args, fallback=counted, **kwargs)
 
-    monkeypatch.setattr(decohere.dephasing, "integrate_panels", spy)
     model = DephasingModel(0.0, SpectralDensity(0.7, 2.0, 1.0), BathSpec(0.5))
     tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
-    assert model.dephasing_rate(1.0, tight) == model._rate_by_quadpack(1.0, tight)[0]
-    assert model.decoherence_function(1.0, tight) == (
-        model._decoherence_by_quadpack(1.0, tight)[0])
+    with _quadpack_route():
+        want = (model.dephasing_rate(1.0, tight), model.decoherence_function(1.0, tight))
+    monkeypatch.setattr(decohere.dephasing, "integrate_panels", spy)
+    assert model.dephasing_rate(1.0, tight) == want[0]
+    assert model.decoherence_function(1.0, tight) == want[1]
     assert len(fallbacks) == 2
     model.dephasing_rate(1.0)
     model.decoherence_function(1.0)

@@ -30,6 +30,7 @@ from decohere import (
 )
 from decohere.errors import (
     DimensionMismatchError,
+    InvariantViolationError,
     NotHermitianError,
     ValidationError,
 )
@@ -258,6 +259,20 @@ def test_integrate_trivial_generator_constant_trajectory():
         assert np.abs(state.matrix - PLUS.matrix).max() < 1e-9
 
 
+@pytest.mark.parametrize("defect", [
+    np.full((2, 2), np.nan),
+    np.diag([1e-5, 0.0]),  # trace drift
+    np.array([[0.0, 1e-5], [0.0, 0.0]]),  # Hermiticity drift
+])
+def test_integrate_drift_is_an_invariant_violation(monkeypatch, defect):
+    def drifting(rhs, y0, t_grid, spec):
+        return [y0, vec(unvec(y0, 2) + defect)]
+
+    monkeypatch.setattr(decohere.gksl.numcore, "ode_solve", drifting)
+    with pytest.raises(InvariantViolationError, match="invariant drift exceeded"):
+        integrate_constant(dephasing_generator(1.0), PLUS, [0.0, 1.0])
+
+
 def test_integrate_drift_stays_small():
     rng = np.random.default_rng(53)
     gen = random_generator(rng, 2, 2)
@@ -417,14 +432,17 @@ def test_canonical_form_rank_one_coupling():
     assert np.abs(combined - phase * target).max() < 1e-12
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
+generator_draws = dict(
     d=st.integers(2, 6),
     m=st.integers(1, 4),
     norms=st.lists(st.floats(0.3, 3.0), min_size=6, max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_random_generator_canonical_form_and_cp(d, m, norms, seed):
+
+
+def drawn_generator(d, m, norms, seed):
+    """A non-diagonal generator from one draw of generator_draws: operator
+    norms from norms, a PSD Kossakowski matrix; and the rng it leaves."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, d, norms[0])
     ops = []
@@ -433,7 +451,13 @@ def test_random_generator_canonical_form_and_cp(d, m, norms, seed):
         ops.append(norm * op / np.linalg.norm(op, 2))
     b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     a = b @ b.conj().T
-    gen = GkslGenerator(h, tuple(ops), norms[-1] * a / np.linalg.norm(a, 2))
+    return GkslGenerator(h, tuple(ops), norms[-1] * a / np.linalg.norm(a, 2)), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**generator_draws)
+def test_random_generator_canonical_form_and_cp(d, m, norms, seed):
+    gen, rng = drawn_generator(d, m, norms, seed)
     assert _entrywise_kernel(gen) is None
 
     canon = canonical_form(gen)
@@ -445,6 +469,17 @@ def test_random_generator_canonical_form_and_cp(d, m, norms, seed):
     for t in (0.1, 1.0):
         result = is_completely_positive(choi_of_propagator(semigroup_propagator(gen, t)))
         assert result.min_eigenvalue >= -1e-8
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(**generator_draws)
+def test_random_generator_ode_matches_semigroup(d, m, norms, seed):
+    gen, rng = drawn_generator(d, m, norms, seed)
+    rho0 = random_density_matrix(rng, d)
+    t_grid = np.linspace(0.0, 2.0, 9)
+    for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid)):
+        reference = propagate_semigroup(gen, rho0, float(t))
+        assert np.abs(state.matrix - reference.matrix).max() <= 1e-6
 
 
 def test_canonical_form_equivalence_on_random_states():

@@ -56,8 +56,16 @@ def test_integrate_oscillatory_against_closed_forms():
         v_cos, _ = integrate_oscillatory(
             lambda w: math.exp(-w), "cos", t, 0.0, math.inf, scale=1.0
         )
+        v_one_minus_cos, _ = integrate_oscillatory(
+            lambda w: math.exp(-w), "1-cos", t, 0.0, math.inf, scale=1.0
+        )
         assert abs(v_sin - t / (1 + t * t)) < 1e-10
         assert abs(v_cos - 1.0 / (1 + t * t)) < 1e-10
+        assert abs(v_one_minus_cos - t * t / (1 + t * t)) < 1e-10
+    # t = 0: no oscillation, the plain integral of the envelope
+    v_zero, _ = integrate_oscillatory(lambda w: math.exp(-w), "cos", 0.0, 0.0, math.inf,
+                                      scale=1.0)
+    assert abs(v_zero - 1.0) < 1e-10
 
 
 def test_integrate_oscillatory_singular_envelope_uses_head():
