@@ -273,9 +273,9 @@ def _spec(cls):
     parse_fields = _obj(fields)
 
     def parse(value, path):
-        _check_keys(value, path, fields, ())  # key errors are not prefixed
+        kwargs = parse_fields(value, path)
         try:
-            return cls(**parse_fields(value, path))
+            return cls(**kwargs)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
 

@@ -231,8 +231,10 @@ class DephasingModel:
     def dephasing_rate_from_correlation(
         self, t: float, quad: QuadratureSpec | None = None
     ) -> float:
-        """Independent route: Re integral of alpha(tau) for tau in (0, t)."""
-        return self._tau_integral(lambda tau: self.bath_correlation(tau, quad).real, t)
+        """Independent route: integral of Re alpha(tau) for tau in (0, t)."""
+        return self._tau_integral(
+            lambda tau: self._spectral_integral("Re alpha", tau, quad), t
+        )
 
     # -- decoherence function Gamma(t) ----------------------------------
 

@@ -17,7 +17,6 @@ from .linalg import (
 from .ode import DEFAULT_ODE, OdeSpec, ode_solve
 from .quadrature import (
     DEFAULT_QUADRATURE,
-    OSC_THRESHOLD,
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
@@ -28,7 +27,6 @@ from .quadrature import (
 __all__ = [
     "DEFAULT_ODE",
     "DEFAULT_QUADRATURE",
-    "OSC_THRESHOLD",
     "OdeSpec",
     "PanelRule",
     "QuadratureSpec",

@@ -1,8 +1,8 @@
 """Adaptive ODE integration on a fixed output grid.
 
-Embedded Runge-Kutta 4(5) (Dormand-Prince) with adaptive step control;
-complex state vectors are packed into stacked real/imaginary parts so the
-solver only ever sees real arrays.
+Embedded Runge-Kutta 4(5) (Dormand-Prince) with adaptive step control.
+The state is integrated in its own dtype: complex128 for a complex
+initial state, float64 otherwise.
 """
 
 from __future__ import annotations
@@ -60,44 +60,26 @@ def ode_solve(
         raise ValidationError("t_grid must be strictly ascending")
 
     y0 = np.atleast_1d(np.asarray(y0))
-    is_complex = np.iscomplexobj(y0)
-    n = y0.size
-
+    dtype = np.complex128 if np.iscomplexobj(y0) else np.float64
+    y0 = y0.astype(dtype)
     if t.size == 1:
-        out = np.empty((1, n), dtype=np.complex128 if is_complex else float)
-        out[0] = y0
-        return out
+        return y0[None, :]
 
     budget = spec.max_steps * _EVALS_PER_STEP + 10
     nfev = 0
 
-    if is_complex:
-        z0 = y0.astype(np.complex128)
-        u0 = np.concatenate([z0.real, z0.imag])
-
-        def fun(tt, u):
-            nonlocal nfev
-            nfev += 1
-            if nfev > budget:
-                raise MaxStepsError(f"exceeded {spec.max_steps} steps")
-            dz = np.asarray(rhs(tt, u[:n] + 1j * u[n:]), dtype=np.complex128)
-            return np.concatenate([dz.real, dz.imag])
-
-    else:
-        u0 = y0.astype(float)
-
-        def fun(tt, u):
-            nonlocal nfev
-            nfev += 1
-            if nfev > budget:
-                raise MaxStepsError(f"exceeded {spec.max_steps} steps")
-            return np.asarray(rhs(tt, u), dtype=float)
+    def fun(tt, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > budget:
+            raise MaxStepsError(f"exceeded {spec.max_steps} steps")
+        return np.asarray(rhs(tt, y), dtype=dtype)
 
     span = t[-1] - t[0]
     sol = scipy.integrate.solve_ivp(
         fun,
         (t[0], t[-1]),
-        u0,
+        y0,
         method="RK45",
         t_eval=t,
         rtol=spec.rel_tol,
@@ -109,8 +91,4 @@ def ode_solve(
         if "step size" in message.lower():
             raise StepUnderflowError(message)
         raise OdeError(message)
-
-    u = sol.y.T
-    if is_complex:
-        return u[:, :n] + 1j * u[:, n:]
-    return u
+    return sol.y.T

@@ -19,8 +19,8 @@ caller's fallback computes the integral instead.
 :func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
 bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
 spectral integrals, takes an envelope times sin(t w), cos(t w) or
-1 - cos(t w); once that factor spans many oscillation periods it hands
-the trigonometric weight to an adaptive Clenshaw-Curtis rule instead.
+1 - cos(t w): the product on the first stretch up to 1/t, then the
+trigonometric weight handed to an adaptive Clenshaw-Curtis rule.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ from ..errors import (
     QuadratureError,
     ValidationError,
 )
-
-# A trigonometric factor is treated as oscillatory once t * interval length
-# exceeds this.
-OSC_THRESHOLD = 20.0
 
 # The oscillating factors of integrate_oscillatory, by kind.
 _TRIG = {"sin": math.sin, "cos": math.cos, "1-cos": lambda x: 1.0 - math.cos(x)}
@@ -161,12 +157,12 @@ def integrate_oscillatory(
     (kind="cos") or 1 - cos(t w) (kind="1-cos") over (a, b), b possibly
     +inf, for t >= 0.
 
-    For slow oscillation the product is integrated directly.  Otherwise a
-    weighted Clenshaw-Curtis rule handles the bulk (for "1-cos", the plain
-    integral of envelope minus the cosine-weighted one); the first stretch
-    [a, a + 1/t] is integrated as the plain product via ``head``, which
-    callers supply when envelope alone is singular at ``a`` (the weighted
-    rule evaluates at interval endpoints, the plain rule does not).
+    The product is integrated directly over (a, split), split = min(a +
+    1/t, b) (b at t = 0), via ``head``, which callers supply when envelope
+    alone is singular at ``a`` (the weighted rule evaluates at interval
+    endpoints, the plain rule does not).  When split < b a weighted
+    Clenshaw-Curtis rule handles the rest (for "1-cos", the plain integral
+    of envelope minus the cosine-weighted one).
     """
     spec = spec or DEFAULT_QUADRATURE
     if kind not in _TRIG:
@@ -179,12 +175,10 @@ def integrate_oscillatory(
 
     if head is None:
         head = lambda w: envelope(w) * _TRIG[kind](t * w)  # noqa: E731
-
-    if t * (b - a) <= OSC_THRESHOLD:
-        return integrate_adaptive(head, a, b, spec)
-
-    split = a + 1.0 / t
+    split = min(a + 1.0 / t, b) if t > 0 else b
     head_value, head_err = _invoke_quad(head, a, split, spec)
+    if split == b:
+        return head_value, head_err
     if kind == "1-cos":
         smooth, smooth_err = _invoke_quad(envelope, split, b, spec)
         osc, osc_err = _invoke_quad(envelope, split, b, spec, weight="cos", wvar=t)

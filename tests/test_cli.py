@@ -153,7 +153,9 @@ INVALID_DOCUMENTS = [
     (dephasing_scenario, ("numerics",), {"quadrature": {"abs_tol": 1e-20}},
      "numerics.quadrature: abs_tol must be >= 1e-14"),
     (dephasing_scenario, ("numerics",), {"ode": {"max_steps": 1.5}},
-     "numerics.ode: numerics.ode.max_steps must be an integer"),
+     "numerics.ode.max_steps must be an integer"),
+    (dephasing_scenario, ("numerics",), {"quadrature": {"abs_tol": "x"}},
+     "numerics.quadrature.abs_tol must be a number"),
     (collisional_scenario, ("parameters", "law", "kind"), "x",
      'law.kind must be one of "gaussian", "two_point"'),
     (gksl_scenario, ("parameters", "rho0"), [[[1, 0], [0, 0]]] * 3,

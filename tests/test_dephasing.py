@@ -379,6 +379,39 @@ def test_zero_temperature_correlation_closed_form(s, wc, route):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, got, want)
 
 
+def test_fallback_splits_slow_oscillation_at_one_over_t():
+    # A slowly oscillating draw (t * upper = 13.6): the fallback splits at
+    # 1/t as for every t > 0, and meets the panel rule to near roundoff.
+    model = DephasingModel(0.0, SpectralDensity(2.218, 3.282, 8.408), BathSpec(11.72))
+    t = 0.0405
+
+    def values():
+        alpha = model.bath_correlation(t)
+        return (model.dephasing_rate(t), model.decoherence_function(t), alpha.real, alpha.imag)
+
+    got = values()
+    with _quadpack_route():
+        want = values()
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-11 * max(1.0, abs(a)), (a, b)
+
+
+def test_cross_check_integrates_only_re_alpha(monkeypatch):
+    model = DephasingModel(0.0, SpectralDensity(0.7, 1.0, 1.0), BathSpec(2.0))
+    t = 1.3
+    by_correlation = model._tau_integral(lambda tau: model.bath_correlation(tau).real, t)
+    kinds = []
+    spectral_integral = DephasingModel._spectral_integral
+
+    def spy(self, kind, tau, quad):
+        kinds.append(kind)
+        return spectral_integral(self, kind, tau, quad)
+
+    monkeypatch.setattr(DephasingModel, "_spectral_integral", spy)
+    assert model.dephasing_rate_from_correlation(t) == by_correlation
+    assert kinds and set(kinds) == {"Re alpha"}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     lam=st.floats(0.01, 3.0),
