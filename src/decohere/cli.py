@@ -400,19 +400,16 @@ def _run_dephasing(s: Scenario, t_grid):
     pop, coh0 = s.parameters["initial_population_upper"], s.parameters["initial_coherence"]
     rho0 = DensityMatrix(np.array([[pop, coh0], [coh0.conjugate(), 1.0 - pop]], dtype=complex))
 
-    # generator_at warns at every Runge-Kutta stage with a negative rate;
-    # the run reports them as one warning.
+    # the Runge-Kutta stages with a negative rate, reported as one warning
     negative_at = []
 
-    def generator_at(t):
-        gen = model.generator_at(t, quad)
-        if gen.kossakowski[0, 0].real < 0:
+    def rate(t):
+        gamma = model.dephasing_rate(t, quad)
+        if gamma < 0:
             negative_at.append(t)
-        return gen
+        return gamma
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeRateWarning)
-        trajectory = integrate_time_dependent(generator_at, rho0, t_grid, s.ode)
+    trajectory = integrate_time_dependent(*model.generator_parts, rate, rho0, t_grid, s.ode)
     if negative_at:
         warnings.warn(
             f"dephasing rate was negative at {len(negative_at)} generator "
@@ -675,6 +672,8 @@ def _cmd_sweep(args) -> int:
     values = [item.strip() for item in args.values.split(",") if item.strip()]
     if not values:
         raise ValidationError("--values must list at least one value")
+    if len(set(values)) != len(values):
+        raise ValidationError("--values must not repeat a value")
 
     runs = []
     for text in values:

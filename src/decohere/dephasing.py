@@ -190,17 +190,19 @@ class DephasingModel:
         spec = quad or DEFAULT_QUADRATURE
         wc = self.spectral.omega_c
         bath = self.bath
+        # coth(beta w/2) has poles at w = 2 pi i k / beta
+        pole_scale = math.inf if bath.zero_temperature else 2 * math.pi / bath.beta
         value, _ = integrate_panels(
             lambda w: kernel(self._panel_weight(w, thermal), w, t),
             self._panel_rule,
             spec.tail_cutoff_multiplier * wc,
             min(math.pi / t, wc) if t > 0 else wc,
             spec,
-            # coth(beta w/2) has poles at w = 2 pi i k / beta
-            head_width=math.inf if bath.zero_temperature else 2 * math.pi / bath.beta,
+            head_width=pole_scale,
             fallback=lambda: integrate_oscillatory(
                 lambda w: weight(w) / w**m, trig, t, 0.0, math.inf, spec,
                 scale=wc, head=lambda w: kernel(weight(w), w, t),
+                breakpoints=(pole_scale,),
             ),
         )
         return value
@@ -276,21 +278,23 @@ class DephasingModel:
         f = math.exp(-self.decoherence_function(t, quad)) * np.exp(-2j * self.omega0 * t)
         return Superoperator(np.diag([1.0, np.conj(f), f, 1.0]))
 
+    @cached_property
+    def generator_parts(self) -> tuple[GkslGenerator, GkslGenerator]:
+        """(L0, L1) with d rho/dt = (L0 + gamma(t) L1) rho: H = omega0 sigma_z,
+        and sigma_z at rate 1/2 (see module docstring for the factor of two)."""
+        return (GkslGenerator(self.omega0 * SIGMA_Z),
+                GkslGenerator(np.zeros((2, 2)), (SIGMA_Z,), [[0.5]]))
+
     def generator_at(self, t: float, quad: QuadratureSpec | None = None) -> GkslGenerator:
-        """Generator of the time-local master equation at time t:
-        H = omega0 sigma_z, single Lindblad operator sigma_z, rate
-        gamma(t)/2 (see module docstring for the factor of two)."""
-        rate = 0.5 * self.dephasing_rate(t, quad)
-        if rate < 0:
+        """The generator L0 + gamma(t) L1 of :attr:`generator_parts` at time t."""
+        gamma = self.dephasing_rate(t, quad)
+        if gamma < 0:
             warnings.warn(
                 f"dephasing rate is negative at t = {t}: the generator is "
                 "not GKSL at this instant",
                 NegativeRateWarning,
                 stacklevel=2,
             )
-        return GkslGenerator(
-            self.omega0 * SIGMA_Z,
-            (SIGMA_Z,),
-            np.array([[rate]], dtype=complex),
-            validate_psd=rate >= 0,
-        )
+        fixed, varying = self.generator_parts
+        return GkslGenerator(fixed.hamiltonian, varying.lindblad_ops,
+                             gamma * varying.kossakowski, validate_psd=gamma >= 0)

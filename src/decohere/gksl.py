@@ -13,9 +13,9 @@ semidefinite exactly when the map is completely positive.
 
 A generator whose Hamiltonian and Lindblad operators are all diagonal acts
 entrywise, L(rho) = K o rho with a d x d kernel K, so its superoperator is
-diagonal too; ``integrate_constant`` and ``integrate_time_dependent`` (at
-every Runge-Kutta stage) integrate such generators through K instead of
-building the d^2 x d^2 matrix.
+diagonal too; ``integrate_constant`` and ``integrate_time_dependent``
+(whose generator L_fixed + r(t) L_varying has both parts assembled once)
+integrate such generators through K instead of building the d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
@@ -293,15 +293,16 @@ def _entrywise_kernel(gen: GkslGenerator) -> np.ndarray | None:
             - 0.5 * (m_diag[:, None] + m_diag[None, :]))
 
 
-def _rhs(gen: GkslGenerator) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> vec(L(unvec(v))): entrywise through the d x d kernel when the
-    generator has one, else through its d^2 x d^2 superoperator."""
-    kernel = _entrywise_kernel(gen)
-    if kernel is not None:
-        k = vec(kernel)
-        return lambda v: k * v
-    s = to_superoperator(gen).matrix
-    return lambda v: s @ v
+def _actions(gens: Sequence[GkslGenerator], dim: int) -> tuple[list[np.ndarray], Callable]:
+    """(arrays, product) acting on vec(rho): the d x d kernels and np.multiply
+    when every generator has one, else the superoperators and np.matmul."""
+    if any(gen.dim != dim for gen in gens):
+        raise DimensionMismatchError(f"state dimension {dim} != generator dimensions "
+                                     f"{[gen.dim for gen in gens]}")
+    kernels = [_entrywise_kernel(gen) for gen in gens]
+    if all(k is not None for k in kernels):
+        return [vec(k) for k in kernels], np.multiply
+    return [to_superoperator(gen).matrix for gen in gens], np.matmul
 
 
 def integrate_constant(
@@ -316,24 +317,23 @@ def integrate_constant(
     integrated entrywise through its d x d kernel, any other through its
     d^2 x d^2 superoperator.
     """
-    if rho0.dim != gen.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho0.dim} != generator dimension {gen.dim}"
-        )
-    rhs = _rhs(gen)
-    return _integrate(lambda t, v: rhs(v), rho0, t_grid, spec)
+    (a,), apply = _actions([gen], rho0.dim)
+    return _integrate(lambda t, v: apply(a, v), rho0, t_grid, spec)
 
 
 def integrate_time_dependent(
-    gen_at: Callable[[float], GkslGenerator],
+    fixed: GkslGenerator,
+    varying: GkslGenerator,
+    rate: Callable[[float], float],
     rho0: DensityMatrix,
     t_grid,
     spec: OdeSpec | None = None,
 ) -> list[DensityMatrix]:
-    """Integrate d rho/dt = L(t) rho, rebuilding the generator at every
-    internal Runge-Kutta stage (no interpolation of rates) and applying it
-    as :func:`integrate_constant` does."""
-    return _integrate(lambda t, v: _rhs(gen_at(t))(v), rho0, t_grid, spec)
+    """Integrate d rho/dt = (L_fixed + rate(t) L_varying) rho, with both parts
+    assembled once as :func:`integrate_constant` does and ``rate`` evaluated
+    at every internal Runge-Kutta stage time (no interpolation of rates)."""
+    (a0, a1), apply = _actions([fixed, varying], rho0.dim)
+    return _integrate(lambda t, v: apply(a0 + rate(t) * a1, v), rho0, t_grid, spec)
 
 
 def _integrate(rhs, rho0, t_grid, spec) -> list[DensityMatrix]:

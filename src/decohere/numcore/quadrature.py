@@ -19,8 +19,9 @@ caller's fallback computes the integral instead.
 :func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
 bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
 spectral integrals, takes an envelope times sin(t w), cos(t w) or
-1 - cos(t w): the product on the first stretch up to 1/t, then the
-trigonometric weight handed to an adaptive Clenshaw-Curtis rule.
+1 - cos(t w): the product on the first stretch up to 1/t, split at the
+caller's breakpoints, then the trigonometric weight handed to an adaptive
+Clenshaw-Curtis rule.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ def integrate_oscillatory(
     *,
     scale: float | None = None,
     head: Callable[[float], float] | None = None,
+    breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate envelope(w) times sin(t w) (kind="sin"), cos(t w)
     (kind="cos") or 1 - cos(t w) (kind="1-cos") over (a, b), b possibly
@@ -160,9 +162,10 @@ def integrate_oscillatory(
     The product is integrated directly over (a, split), split = min(a +
     1/t, b) (b at t = 0), via ``head``, which callers supply when envelope
     alone is singular at ``a`` (the weighted rule evaluates at interval
-    endpoints, the plain rule does not).  When split < b a weighted
-    Clenshaw-Curtis rule handles the rest (for "1-cos", the plain integral
-    of envelope minus the cosine-weighted one).
+    endpoints, the plain rule does not), by :func:`integrate_adaptive`
+    with the ``breakpoints`` that fall inside (a, split).  When split < b
+    a weighted Clenshaw-Curtis rule handles the rest (for "1-cos", the
+    plain integral of envelope minus the cosine-weighted one).
     """
     spec = spec or DEFAULT_QUADRATURE
     if kind not in _TRIG:
@@ -176,7 +179,7 @@ def integrate_oscillatory(
     if head is None:
         head = lambda w: envelope(w) * _TRIG[kind](t * w)  # noqa: E731
     split = min(a + 1.0 / t, b) if t > 0 else b
-    head_value, head_err = _invoke_quad(head, a, split, spec)
+    head_value, head_err = integrate_adaptive(head, a, split, spec, breakpoints=breakpoints)
     if split == b:
         return head_value, head_err
     if kind == "1-cos":

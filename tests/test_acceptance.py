@@ -117,7 +117,8 @@ def test_criterion_4_end_to_end_dephasing():
     worst_pop = 0.0
     for s, beta in itertools.product([0.5, 1.0, 2.0], [0.5, 2.0, math.inf]):
         model = DephasingModel(1.0, SpectralDensity(0.5, s, 1.0), BathSpec(beta))
-        trajectory = integrate_time_dependent(model.generator_at, rho0, t_grid)
+        trajectory = integrate_time_dependent(
+            *model.generator_parts, model.dephasing_rate, rho0, t_grid)
         for t, state in zip(t_grid, trajectory):
             expected = math.exp(-model.decoherence_function(float(t))) * abs(
                 rho0.matrix[0, 1]

@@ -266,6 +266,20 @@ def test_run_dephasing_reports_negative_rates_once(tmp_path):
     assert math.sqrt(3.0) < first < 2.0
 
 
+def test_run_dephasing_builds_its_generators_once(tmp_path, monkeypatch):
+    built = []
+    post_init = decohere.gksl.GkslGenerator.__post_init__
+    monkeypatch.setattr(decohere.gksl.GkslGenerator, "__post_init__",
+                        lambda gen, validate_psd: built.append(gen) or post_init(gen, validate_psd))
+    counts = []
+    for n_points in (6, 41):
+        built.clear()
+        run_scenario(validate_scenario(
+            dephasing_scenario(tmp_path, time={"t_max": 1.0, "n_points": n_points})))
+        counts.append(len(built))
+    assert counts == [2, 2]
+
+
 def test_run_collisional_oracle(tmp_path):
     s = validate_scenario(collisional_scenario(tmp_path))
     header, rows, report = run_scenario(s)
@@ -588,6 +602,13 @@ def test_cli_sweep_unknown_path_message(tmp_path, capsys):
     for path in ("spectral.zeta", "zeta", "initial_coherence.re", "bath.beta.x"):
         assert main(["sweep", str(p), "--param", path, "--values", "1"]) == 2
         assert capsys.readouterr().err == f'error: unknown sweep parameter path "{path}"\n'
+
+
+def test_cli_sweep_rejects_repeated_values(tmp_path, capsys):
+    p = write_scenario(tmp_path, dephasing_scenario(tmp_path))
+    assert main(["sweep", str(p), "--param", "spectral.s", "--values", "1,2, 1"]) == 2
+    assert capsys.readouterr().err == "error: --values must not repeat a value\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_sweep_over_defaulted_key_matches_direct_runs(tmp_path):

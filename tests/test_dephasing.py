@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from decohere.errors import (
     NegativeRateWarning,
     ValidationError,
 )
+from decohere.gksl import _entrywise_kernel
 from decohere.numcore import QuadratureSpec
 
 PLUS = DensityMatrix.pure([1.0, 1.0])
@@ -292,13 +294,27 @@ def test_generator_negative_rate_warns_but_constructs():
     assert gen.kossakowski[0, 0].real < 0.0
 
 
+def test_generator_at_is_built_from_the_parts():
+    # K0 + gamma K1 is the kernel of generator_at(t) bit for bit, at
+    # positive and negative rates (s = 3 at T = 0 turns negative after
+    # t = sqrt(3))
+    model = DephasingModel(0.8, SpectralDensity(1.0, 3.0, 1.0), BathSpec(math.inf))
+    k0, k1 = (_entrywise_kernel(part) for part in model.generator_parts)
+    for t in (0.0, 0.3, 1.0, 2.5, 4.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeRateWarning)
+            kernel = _entrywise_kernel(model.generator_at(t))
+        assert np.array_equal(kernel, k0 + model.dephasing_rate(t) * k1)
+
+
 def test_trajectory_matches_exact_solution():
     # the [DERIVED] oracle: integrated master equation vs closed form
     model = DephasingModel(
         1.0, SpectralDensity(0.5, 1.0, 1.0), BathSpec(2.0)
     )
     t_grid = np.linspace(0.0, 5.0, 50)
-    trajectory = integrate_time_dependent(model.generator_at, PLUS, t_grid)
+    trajectory = integrate_time_dependent(*model.generator_parts, model.dephasing_rate,
+                                          PLUS, t_grid)
     for t, state in zip(t_grid, trajectory):
         predicted = model.coherence(PLUS, float(t))
         assert abs(state.matrix[0, 1] - predicted) < 1e-6
@@ -394,6 +410,24 @@ def test_fallback_splits_slow_oscillation_at_one_over_t():
         want = values()
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-11 * max(1.0, abs(a)), (a, b)
+
+
+def test_fallback_head_breaks_at_the_thermal_pole_scale():
+    # A cold bath (2 pi / beta = 0.17) against a head reaching 1/t = 28.7:
+    # without a breakpoint at the pole scale QUADPACK's head misses Re
+    # alpha by 2.3e-10 relative while reporting success.
+    model = DephasingModel(0.0, SpectralDensity(0.4908, 2.9967, 6.898), BathSpec(36.62))
+    t = 0.03487
+
+    def values():
+        alpha = model.bath_correlation(t)
+        return (model.dephasing_rate(t), model.decoherence_function(t), alpha.real, alpha.imag)
+
+    got = values()
+    with _quadpack_route():
+        want = values()
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (a, b)
 
 
 def test_cross_check_integrates_only_re_alpha(monkeypatch):

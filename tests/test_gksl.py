@@ -220,11 +220,17 @@ def test_trace_preserved_over_long_times():
 
 
 def test_integrate_constant_matches_semigroup():
+    # a random non-diagonal generator split into its Hamiltonian part and
+    # its dissipator at rate 1: the superoperator path
     rng = np.random.default_rng(47)
     gen = random_generator(rng, 3, 2)
     rho0 = random_density_matrix(rng, 3)
     t_grid = np.linspace(0.0, 2.0, 9)
-    trajectory = integrate_time_dependent(lambda t: gen, rho0, t_grid)
+    trajectory = integrate_time_dependent(
+        GkslGenerator(gen.hamiltonian),
+        GkslGenerator(np.zeros((3, 3)), gen.lindblad_ops, gen.kossakowski),
+        lambda t: 1.0, rho0, t_grid,
+    )
     for t, state in zip(t_grid, trajectory):
         reference = propagate_semigroup(gen, rho0, float(t))
         assert np.abs(state.matrix - reference.matrix).max() < 1e-7
@@ -241,8 +247,7 @@ def test_integrate_time_dependent_diagonal_generator_is_entrywise(monkeypatch):
     rho0 = DensityMatrix.pure([1.0, 1.0])
     t_grid = np.linspace(0.0, 2.0, 9)
     trajectory = integrate_time_dependent(
-        lambda t: GkslGenerator(h, (SIGMA_Z,), np.array([[0.5 * t]], dtype=complex)),
-        rho0, t_grid,
+        GkslGenerator(h), dephasing_generator(0.5), lambda t: t, rho0, t_grid,
     )
     for t, state in zip(t_grid, trajectory):
         expected = 0.5 * np.exp(-2j * 0.7 * t - 0.5 * t * t)
@@ -250,10 +255,30 @@ def test_integrate_time_dependent_diagonal_generator_is_entrywise(monkeypatch):
         assert np.array_equal(np.diag(state.matrix), np.diag(rho0.matrix))
 
 
+def test_integrate_time_dependent_mixed_parts_use_superoperators(monkeypatch):
+    # a diagonal fixed part with a non-diagonal (bit-flip) varying part:
+    # both become superoperators.  At bit-flip rate t/2 the population
+    # difference decays as exp(-t^2/2) whatever H = 0.7 sigma_z does.
+    built = []
+    superoperator = decohere.gksl.to_superoperator
+    monkeypatch.setattr(decohere.gksl, "to_superoperator",
+                        lambda gen: built.append(gen) or superoperator(gen))
+    rho0 = DensityMatrix(np.diag([1.0, 0.0]))
+    t_grid = np.linspace(0.0, 2.0, 9)
+    trajectory = integrate_time_dependent(
+        GkslGenerator(0.7 * SIGMA_Z),
+        GkslGenerator(np.zeros((2, 2)), (SIGMA_X,), [[0.5]]),
+        lambda t: t, rho0, t_grid,
+    )
+    assert len(built) == 2
+    for t, state in zip(t_grid, trajectory):
+        assert abs(state.matrix[0, 0] - 0.5 * (1.0 + np.exp(-0.5 * t * t))) < 1e-7
+
+
 def test_integrate_trivial_generator_constant_trajectory():
     gen = GkslGenerator(np.zeros((2, 2)), (SIGMA_Z,), [[0.0]])
     trajectory = integrate_time_dependent(
-        lambda t: gen, PLUS, np.linspace(0.0, 3.0, 7)
+        gen, dephasing_generator(1.0), lambda t: 0.0, PLUS, np.linspace(0.0, 3.0, 7)
     )
     for state in trajectory:
         assert np.abs(state.matrix - PLUS.matrix).max() < 1e-9
@@ -525,3 +550,12 @@ def test_dimension_mismatch_in_apply():
         apply_generator(gen, np.eye(3) / 3.0)
     with pytest.raises(DimensionMismatchError):
         integrate_constant(gen, DensityMatrix.maximally_mixed(3), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("fixed_dim, varying_dim, state_dim", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_dimension_mismatch_in_time_dependent_parts(fixed_dim, varying_dim, state_dim):
+    fixed = GkslGenerator(np.eye(fixed_dim))
+    varying = GkslGenerator(np.zeros((varying_dim,) * 2), (np.eye(varying_dim),), [[1.0]])
+    with pytest.raises(DimensionMismatchError, match="state dimension"):
+        integrate_time_dependent(fixed, varying, lambda t: 1.0,
+                                 DensityMatrix.maximally_mixed(state_dim), [0.0, 1.0])
