@@ -12,13 +12,17 @@ schema is one table of ``key: (parser, default)`` entries walked by
 ``_obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
 ``OdeSpec``, and ``sweep`` patches the document as read.
 
-Each model family is one ``_Family`` record in ``_FAMILIES`` (schema, CSV
-columns, ``run``, check-cp ``channel``); ``run_scenario`` and ``check_cp``
-walk it and never branch on the model.  CSV output uses 17 significant
-digits (round-trip exact for doubles) and LF line endings, so identical
-scenarios produce byte-identical files.  A NaN drift, residual or Choi
-eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation, 2
-usage/parse/validation error or an unwritable output path.
+Each model family is one ``_Family`` record in ``_FAMILIES`` (schema,
+initial state, CSV columns, ``run``, check-cp ``channel``).
+``validate_scenario``, ``run_scenario`` and ``check_cp`` walk it and never
+branch on the model; ``validate_scenario`` builds the initial state, so every
+command rejects the same documents.  CSV output uses 17 significant digits
+(round-trip exact for doubles) and LF line endings, so identical scenarios
+produce byte-identical files.  check-cp writes its report to the scenario's
+``report_path``, replacing a run's.  A NaN drift, residual or Choi
+eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation (an ODE
+state past the drift bound too), 2 usage/parse/validation error (an invalid
+initial state too) or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from . import collisional as col
 from .dephasing import BathSpec, DephasingModel, SpectralDensity
 from .errors import DecohereError, NegativeRateWarning, ParseError, ValidationError
 from .gksl import (
+    DRIFT_ERROR_THRESHOLD,
     DensityMatrix,
     GkslGenerator,
     choi_of_propagator,
@@ -53,9 +58,6 @@ from .gksl import (
 )
 from .numcore import OdeSpec, QuadratureSpec, hermiticity_defect
 
-# Any drift or cross-check residual beyond this is an invariant violation
-# (exit code 1).
-VIOLATION_THRESHOLD = 1e-6
 # check-cp passes while the smallest Choi eigenvalue stays above this.
 CP_EIGENVALUE_FLOOR = -1e-8
 
@@ -75,11 +77,12 @@ def _worst(old: float, new: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: model name, normalized parameter block, time
-    grid, optional numerics overrides, output paths."""
+    """Validated scenario: model name, normalized parameter block, initial
+    state, time grid, optional numerics overrides, output paths."""
 
     model: str
     parameters: dict
+    rho0: DensityMatrix | col.PositionDensityMatrix
     t_max: float
     n_points: int
     quadrature: QuadratureSpec | None
@@ -122,12 +125,12 @@ class InvariantReport:
         )
 
     def finalize(self) -> "InvariantReport":
-        # Each gate is written so that NaN fails it.
+        # The ODE's drift bound; each gate is written so that NaN fails it.
         drifts = {"trace_drift": self.trace_drift_max,
                   "hermiticity_drift": self.hermiticity_drift_max,
                   **self.cross_check_residuals}
         self.violations += [k for k, v in drifts.items()
-                            if not (v <= VIOLATION_THRESHOLD)]
+                            if not (v <= DRIFT_ERROR_THRESHOLD)]
         if (
             self.min_choi_eigenvalue is not None
             and not (self.min_choi_eigenvalue >= CP_EIGENVALUE_FLOOR)
@@ -368,7 +371,12 @@ def validate_scenario(raw) -> Scenario:
     _check_keys(raw, "scenario", allowed=keys + ("numerics",), required=keys)
     model = _string(raw["model"], "model", choices=tuple(_FAMILIES))
     parameters = _FAMILIES[model].schema(raw["parameters"], "parameters")
-    return Scenario(model=model, parameters=parameters, **_TIME(raw["time"], "time"),
+    try:
+        rho0 = _FAMILIES[model].rho0(parameters)
+    except ValidationError as exc:
+        raise ValidationError(f"initial state: {exc}") from exc
+    return Scenario(model=model, parameters=parameters, rho0=rho0,
+                    **_TIME(raw["time"], "time"),
                     **_NUMERICS(raw.get("numerics", {}), "numerics"),
                     **_OUTPUT(raw["output"], "output"))
 
@@ -395,10 +403,13 @@ def _gksl_generator(p) -> GkslGenerator:
     return GkslGenerator(p["hamiltonian"], tuple(p["lindblad_ops"]), p["kossakowski"])
 
 
+def _dephasing_rho0(p) -> DensityMatrix:
+    pop, coh = p["initial_population_upper"], p["initial_coherence"]
+    return DensityMatrix(np.array([[pop, coh], [coh.conjugate(), 1.0 - pop]], dtype=complex))
+
+
 def _run_dephasing(s: Scenario, t_grid):
-    model, quad = _dephasing_model(s.parameters), s.quadrature
-    pop, coh0 = s.parameters["initial_population_upper"], s.parameters["initial_coherence"]
-    rho0 = DensityMatrix(np.array([[pop, coh0], [coh0.conjugate(), 1.0 - pop]], dtype=complex))
+    model, quad, rho0 = _dephasing_model(s.parameters), s.quadrature, s.rho0
 
     # the Runge-Kutta stages with a negative rate, reported as one warning
     negative_at = []
@@ -412,8 +423,8 @@ def _run_dephasing(s: Scenario, t_grid):
     trajectory = integrate_time_dependent(*model.generator_parts, rate, rho0, t_grid, s.ode)
     if negative_at:
         warnings.warn(
-            f"dephasing rate was negative at {len(negative_at)} generator "
-            f"evaluations, first at t = {min(negative_at)}: the generator is "
+            f"dephasing rate was negative at {len(negative_at)} Runge-Kutta "
+            f"stages, first at t = {min(negative_at)}: the generator is "
             "not GKSL there",
             NegativeRateWarning,
             stacklevel=2,
@@ -438,13 +449,11 @@ def _run_dephasing(s: Scenario, t_grid):
 
 
 def _run_collisional(s: Scenario, t_grid):
-    p = s.parameters
+    p, rho0 = s.parameters, s.rho0
     law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
     law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
-    grid = np.asarray(p["grid"], dtype=float)
-    rho0 = col.PositionDensityMatrix.superposition(grid)
-    gen = col.build_discretized_generator(law, grid, p["n_q"])
-    extreme_dx = float(grid[-1] - grid[0])
+    gen = col.build_discretized_generator(law, rho0.grid, p["n_q"])
+    extreme_dx = float(rho0.grid[-1] - rho0.grid[0])
     for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, s.ode)):
         exact, m = col.evolve_exact(rho0, law, float(t)).matrix, state.matrix
         values = (abs(exact[0, -1]), abs(m[0, -1]),
@@ -456,7 +465,7 @@ def _run_collisional(s: Scenario, t_grid):
 
 
 def _run_gksl(s: Scenario, t_grid):
-    gen, rho0 = _gksl_generator(s.parameters), DensityMatrix(s.parameters["rho0"])
+    gen, rho0 = _gksl_generator(s.parameters), s.rho0
     for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, s.ode)):
         m = state.matrix
         reference = propagate_semigroup(gen, rho0, float(t))
@@ -466,9 +475,10 @@ def _run_gksl(s: Scenario, t_grid):
 
 @dataclass(frozen=True)
 class _Family:
-    """One model family, as run_scenario and check_cp see it."""
+    """One model family, as validate_scenario, run_scenario and check_cp see it."""
 
     schema: Callable  # (raw parameters, path) -> parameters dict
+    rho0: Callable  # parameters dict -> initial state
     columns: tuple  # CSV columns between "t" and "trace_drift"
     run: Callable  # (scenario, t_grid) -> per time: state, row values, residuals
     channel: Callable | None  # scenario -> (t -> Superoperator); None: no check-cp
@@ -487,6 +497,7 @@ _FAMILIES = {
             "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
             "initial_coherence": (_complex_entry, [0.5, 0.0]),
         }, name="parameters"),
+        rho0=_dephasing_rho0,
         columns=("gamma", "Gamma", "coherence_re", "coherence_im", "coherence_abs",
                  "coherence_abs_numeric"),
         run=_run_dephasing,
@@ -500,12 +511,14 @@ _FAMILIES = {
             "n_q": (partial(_integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
             "initial_state": (partial(_string, choices=("superposition",)), "superposition"),
         }, name="parameters"),
+        rho0=lambda p: col.PositionDensityMatrix.superposition(p["grid"]),
         columns=("offdiag_abs", "offdiag_abs_numeric", "decoherence_factor"),
         run=_run_collisional,
         channel=None,
     ),
     "gksl": _Family(
         schema=_validate_gksl,
+        rho0=lambda p: DensityMatrix(p["rho0"]),
         columns=("trace_re", "purity", "coherence_abs"),
         run=_run_gksl,
         channel=lambda s: partial(semigroup_propagator, _gksl_generator(s.parameters)),

@@ -25,19 +25,17 @@ obeying detailed balance S(q, E) = exp(-beta E) S(q, -E).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from . import numcore
 from .errors import (
-    NotHermitianError,
     QuadratureSupportError,
     ValidationError,
     ZeroMomentumTransferError,
 )
-from .gksl import GkslGenerator
+from .gksl import DensityMatrix, GkslGenerator
 
 
 @dataclass(frozen=True)
@@ -106,13 +104,13 @@ MomentumTransferLaw = Union[GaussianMomentumLaw, TwoPointMomentumLaw]
 @dataclass(frozen=True)
 class PositionDensityMatrix:
     """State on a 1D position grid; trace convention is the plain sum of
-    diagonal entries (uniform unit weight per grid point)."""
+    diagonal entries (uniform unit weight per grid point); the matrix is
+    checked as a :class:`DensityMatrix`."""
 
     grid: np.ndarray
     matrix: np.ndarray
-    atol: InitVar[float] = 1e-8
 
-    def __post_init__(self, atol):
+    def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 1 or g.size < 1:
             raise ValidationError("grid must be a non-empty 1-D array")
@@ -120,23 +118,11 @@ class PositionDensityMatrix:
             raise ValidationError("grid must be finite")
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise ValidationError("grid must be strictly ascending")
-        m = numcore.as_square_complex(self.matrix, "position density matrix")
+        m = DensityMatrix(self.matrix).matrix
         if m.shape[0] != g.size:
             raise ValidationError(
                 f"matrix is {m.shape[0]}x{m.shape[0]} but grid has {g.size} points"
             )
-        defect = numcore.hermiticity_defect(m)
-        if defect > 1e-10:
-            raise NotHermitianError(
-                f"position density matrix Hermiticity defect {defect:.3e}"
-            )
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > atol:
-            raise ValidationError(f"diagonal sum {tr!r} differs from 1")
-        min_eig = float(numcore.hermitian_eigenvalues(0.5 * (m + m.conj().T),
-                                                      atol=np.inf)[0])
-        if min_eig < -atol:
-            raise ValidationError(f"negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "matrix", m)
 

@@ -3,7 +3,7 @@
 Construction-time invariant violations derive from :class:`ValidationError`
 (a ``ValueError``), runtime numerical failures from :class:`NumericsError`
 (a ``RuntimeError``).  The CLI maps ``ValidationError``/``ParseError`` to
-exit code 2 and invariant drift to exit code 1.
+exit code 2 and every other error, invariant drift too, to exit code 1.
 """
 
 
@@ -53,7 +53,7 @@ class NoConvergenceError(NumericsError):
 
 
 class MatrixOverflowError(NumericsError):
-    """Matrix exponential input norm exceeds the documented bound."""
+    """Matrix exponential result is not finite (overflows double precision)."""
 
 
 class QuadratureError(NumericsError):
@@ -81,7 +81,8 @@ class MaxStepsError(OdeError):
 
 
 class InvariantViolationError(NumericsError):
-    """Trace/Hermiticity drift exceeded the hard error threshold."""
+    """An integrated state is NaN or its trace, Hermiticity or positivity
+    drifted past the hard error threshold."""
 
 
 class NegativeRateWarning(UserWarning):

@@ -1,8 +1,8 @@
 """Dense complex matrix helpers: validation, Hermitian eigenproblems,
 matrix exponential.
 
-All matrices are small (dimension well below ~64), dense and complex;
-robustness is preferred over speed throughout.
+All matrices are dense and complex, from 2 x 2 states to 144 x 144
+superoperators (d = 12); robustness is preferred over speed throughout.
 """
 
 from __future__ import annotations

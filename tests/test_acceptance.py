@@ -233,7 +233,8 @@ def test_criterion_7_structure_factor_identities():
 def test_criterion_8_cli_contract(tmp_path):
     """The three example scenarios run to completion with exit code 0 and
     byte-identical CSV on repeated runs; the documented non-PSD
-    Kossakowski scenario exits with code 2."""
+    Kossakowski and non-positive initial-state scenarios exit with code 2
+    from run and check-cp."""
     names = [
         "dephasing_ohmic_zero_temperature",
         "collisional_two_site",
@@ -253,6 +254,7 @@ def test_criterion_8_cli_contract(tmp_path):
         report = json.loads((tmp_path / f"{name}_report.json").read_text())
         assert report["passed"] is True
 
-    failure = SCENARIO_DIR / "invalid_kossakowski.json"
-    assert main(["run", str(failure)]) == 2
-    _report(8, "3 scenarios ok + deterministic, failure scenario exits 2")
+    for failure in ("invalid_kossakowski", "invalid_initial_state"):
+        for command in ("run", "check-cp"):
+            assert main([command, str(SCENARIO_DIR / f"{failure}.json")]) == 2, failure
+    _report(8, "3 scenarios ok + deterministic, 2 failure scenarios exit 2")

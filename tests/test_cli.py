@@ -161,15 +161,24 @@ INVALID_DOCUMENTS = [
     (gksl_scenario, ("parameters", "rho0"), [[[1, 0], [0, 0]]] * 3,
      "rho0 must have 2 rows, got 3"),
 ]
+# documents that parse but whose initial state is not a density matrix
+INVALID_INITIAL_STATES = [
+    (gksl_scenario, ("parameters", "rho0"), [[[0.5, 0], [0.5, 0]], [[0.5, 0], [4.5, 0]]],
+     "initial state: density matrix trace (5+0j) differs from 1"),
+    (dephasing_scenario, ("parameters", "initial_coherence"), [0.6, 0.0],
+     "initial state: density matrix has negative eigenvalue -1.000e-01"),
+]
+INVALID_DOCUMENTS += INVALID_INITIAL_STATES
 
 
-@pytest.mark.parametrize(
-    "factory, path, value, message",
-    INVALID_DOCUMENTS,
-    ids=[f"{case[0].__name__.split('_')[0]}:{'.'.join(case[1])}" for case in INVALID_DOCUMENTS],
-)
-def test_invalid_document_message(tmp_path, factory, path, value, message):
-    raw = factory(tmp_path)
+def _case_id(case):
+    factory, path, _, message = case
+    name = f"{factory.__name__.split('_')[0]}:{'.'.join(path)}"
+    # an initial-state case patches the same key as an earlier case
+    return f"{name}:initial_state" if message.startswith("initial state: ") else name
+
+
+def _patched(raw, path, value):
     node = raw
     for key in path[:-1]:
         node = node[key]
@@ -177,9 +186,27 @@ def test_invalid_document_message(tmp_path, factory, path, value, message):
         del node[path[-1]]
     else:
         node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("factory, path, value, message", INVALID_DOCUMENTS,
+                         ids=[_case_id(case) for case in INVALID_DOCUMENTS])
+def test_invalid_document_message(tmp_path, factory, path, value, message):
+    raw = _patched(factory(tmp_path), path, value)
     with pytest.raises(ValidationError) as excinfo:
         parse_scenario(json.dumps(raw))
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("factory, path, value, message", INVALID_INITIAL_STATES,
+                         ids=["gksl", "dephasing"])
+def test_cli_invalid_initial_state_exits_2(tmp_path, capsys, factory, path, value, message):
+    p = write_scenario(tmp_path, _patched(factory(tmp_path), path, value))
+    for argv in (["run", str(p)], ["check-cp", str(p)],
+                 ["sweep", str(p), "--param", path[-1], "--values", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
 def test_duplicate_keys_are_rejected(tmp_path, capsys):
@@ -260,6 +287,7 @@ def test_run_dephasing_reports_negative_rates_once(tmp_path):
     negative = [w for w in caught if issubclass(w.category, NegativeRateWarning)]
     assert len(negative) == 1
     message = str(negative[0].message)
+    assert " Runge-Kutta stages, first at t = " in message
     count = int(message.split(" at ")[1].split()[0])
     first = float(message.split("first at t = ")[1].split(":")[0])
     assert count > 1
@@ -404,6 +432,22 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_cli_ode_positivity_loss_exits_1(tmp_path, capsys):
+    # a strongly damped qubit at loose ODE tolerances keeps its trace and
+    # Hermiticity, but an integrated state loses positivity
+    raw = gksl_scenario(tmp_path)
+    raw["parameters"].update(
+        lindblad_ops=[[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        kossakowski=[[[50.0, 0.0]]],
+        rho0=[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    )
+    raw["time"] = {"t_max": 5.0, "n_points": 11}
+    raw["numerics"] = {"ode": {"abs_tol": 0.05, "rel_tol": 0.05}}
+    assert main(["run", str(write_scenario(tmp_path, raw))]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: invariant drift exceeded 1e-06: density matrix has negative eigenvalue ")
 
 
 def test_cli_violation_exits_1(tmp_path):

@@ -148,6 +148,11 @@ def test_position_state_validation():
         PositionDensityMatrix([0.0, 1.0], np.diag([0.7, 0.7]))
     with pytest.raises(ValidationError):
         PositionDensityMatrix([1.0, 0.0], np.diag([0.5, 0.5]))  # descending grid
+    # a grid state is checked as a DensityMatrix, within 1e-10
+    with pytest.raises(ValidationError, match="trace"):
+        PositionDensityMatrix([0.0, 1.0], np.diag([0.5, 0.5 + 1e-9]))
+    with pytest.raises(ValidationError, match="negative eigenvalue -1.000e-09"):
+        PositionDensityMatrix([0.0, 1.0], np.array([[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]))
 
 
 # ----------------------------------------------------------------------

@@ -288,6 +288,7 @@ def test_integrate_trivial_generator_constant_trajectory():
     np.full((2, 2), np.nan),
     np.diag([1e-5, 0.0]),  # trace drift
     np.array([[0.0, 1e-5], [0.0, 0.0]]),  # Hermiticity drift
+    np.array([[0.0, 1e-5], [1e-5, 0.0]]),  # positivity loss: |+><+| gains eigenvalue -1e-5
 ])
 def test_integrate_drift_is_an_invariant_violation(monkeypatch, defect):
     def drifting(rhs, y0, t_grid, spec):
