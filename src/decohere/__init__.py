@@ -48,7 +48,9 @@ from .gksl import (
     integrate_time_dependent,
     is_completely_positive,
     propagate_semigroup,
+    semigroup_channel,
     semigroup_propagator,
+    semigroup_trajectory,
     to_superoperator,
     trace_defect,
     unvec,
@@ -106,7 +108,9 @@ __all__ = [
     "mb_structure_factor",
     "ode_solve",
     "propagate_semigroup",
+    "semigroup_channel",
     "semigroup_propagator",
+    "semigroup_trajectory",
     "to_superoperator",
     "trace_defect",
     "unvec",

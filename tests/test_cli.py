@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +400,27 @@ def test_cli_nonpsd_kossakowski_exits_2(tmp_path):
     assert main(["run", str(p)]) == 2
 
 
+SHIPPED_INVALID_KOSSAKOWSKI = (
+    Path(__file__).resolve().parent.parent / "scenarios" / "invalid_kossakowski.json")
+KOSSAKOWSKI_MESSAGE = "kossakowski matrix is not positive semidefinite"
+
+
+def test_parse_rejects_shipped_invalid_kossakowski():
+    with pytest.raises(ValidationError, match=KOSSAKOWSKI_MESSAGE):
+        parse_scenario(SHIPPED_INVALID_KOSSAKOWSKI.read_bytes())
+
+
+def test_cli_invalid_kossakowski_exits_2_on_every_command(tmp_path, capsys):
+    raw = json.loads(SHIPPED_INVALID_KOSSAKOWSKI.read_text())
+    raw["output"] = gksl_scenario(tmp_path)["output"]
+    p = write_scenario(tmp_path, raw)
+    for argv in (["run", str(p)], ["check-cp", str(p)],
+                 ["sweep", str(p), "--param", "rho0", "--values", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {KOSSAKOWSKI_MESSAGE}")
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -487,6 +509,41 @@ def test_check_cp_strongly_damped_qubit(tmp_path):
     assert report.trace_drift_max <= 1e-10
 
 
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_gksl_run_exponentiates_once(tmp_path, monkeypatch):
+    # a damped qubit: the ODE route builds its own superoperator, and the
+    # reference route exponentiates one step dt L for all 11 points
+    raw = gksl_scenario(tmp_path)
+    raw["parameters"]["lindblad_ops"] = [
+        [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    ]
+    raw["parameters"]["kossakowski"] = [[[0.5, 0.0]]]
+    raw["time"]["n_points"] = 11
+    expm_calls = _count_calls(monkeypatch, decohere.gksl.numcore, "matrix_exp")
+    _, rows, report = run_scenario(validate_scenario(raw))
+    assert len(rows) == 11 and report.passed
+    assert len(expm_calls) == 1
+
+
+def test_gksl_check_cp_builds_one_superoperator(tmp_path, monkeypatch):
+    s = validate_scenario(gksl_scenario(tmp_path))
+    superop_calls = _count_calls(monkeypatch, decohere.gksl, "to_superoperator")
+    expm_calls = _count_calls(monkeypatch, decohere.gksl.numcore, "matrix_exp")
+    assert check_cp(s, [0.1, 1.0, 10.0]).passed
+    assert len(superop_calls) == 1 and len(expm_calls) == 3
+
+
 def test_check_cp_identity_at_t0(tmp_path):
     s = validate_scenario(gksl_scenario(tmp_path))
     report = check_cp(s, [0.0])
@@ -566,7 +623,8 @@ def test_nan_survives_the_running_maxima():
 
 def test_cli_run_nan_cross_check_exits_1(tmp_path, monkeypatch):
     nan_state = types.SimpleNamespace(matrix=np.full((2, 2), math.nan))
-    monkeypatch.setattr(cli, "propagate_semigroup", lambda gen, rho0, t: nan_state)
+    monkeypatch.setattr(cli, "semigroup_trajectory",
+                        lambda gen, rho0, dt, n: [nan_state] * n)
     p = write_scenario(tmp_path, gksl_scenario(tmp_path))
     assert main(["run", str(p)]) == 1
     report = json.loads((tmp_path / "gksl_report.json").read_text())
@@ -582,7 +640,8 @@ def _strict_loads(text):
 
 def test_cli_run_nan_report_is_strict_json(tmp_path, monkeypatch):
     nan_state = types.SimpleNamespace(matrix=np.full((2, 2), math.nan))
-    monkeypatch.setattr(cli, "propagate_semigroup", lambda gen, rho0, t: nan_state)
+    monkeypatch.setattr(cli, "semigroup_trajectory",
+                        lambda gen, rho0, dt, n: [nan_state] * n)
     p = write_scenario(tmp_path, gksl_scenario(tmp_path))
     assert main(["run", str(p)]) == 1
     report = _strict_loads((tmp_path / "gksl_report.json").read_text())

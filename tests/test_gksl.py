@@ -23,6 +23,7 @@ from decohere import (
     is_completely_positive,
     propagate_semigroup,
     semigroup_propagator,
+    semigroup_trajectory,
     to_superoperator,
     trace_defect,
     unvec,
@@ -506,6 +507,33 @@ def test_random_generator_ode_matches_semigroup(d, m, norms, seed):
     for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid)):
         reference = propagate_semigroup(gen, rho0, float(t))
         assert np.abs(state.matrix - reference.matrix).max() <= 1e-6
+
+
+def _assert_trajectory_matches_per_time(gen, rho0, t_grid):
+    dt = float(t_grid[1] - t_grid[0])
+    trajectory = semigroup_trajectory(gen, rho0, dt, len(t_grid))
+    assert len(trajectory) == len(t_grid) and trajectory[0] is rho0
+    for t, state in zip(t_grid, trajectory):
+        reference = propagate_semigroup(gen, rho0, float(t))
+        assert np.abs(state.matrix - reference.matrix).max() <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(**generator_draws)
+def test_random_generator_trajectory_matches_per_time_semigroup(d, m, norms, seed):
+    gen, rng = drawn_generator(d, m, norms, seed)
+    _assert_trajectory_matches_per_time(gen, random_density_matrix(rng, d),
+                                        np.linspace(0.0, 2.0, 9))
+
+
+def test_stiff_damped_qubit_trajectory_matches_per_time_semigroup():
+    # amplitude damping at rate 60: a triangular superoperator whose step
+    # exp(dt L) nearly empties the upper level
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    gen = GkslGenerator(0.9 * SIGMA_Z, (lower,), [[60.0]])
+    assert np.count_nonzero(np.tril(to_superoperator(gen).matrix, -1)) == 0
+    for rho0 in (DensityMatrix.pure([1.0, 0.0]), PLUS):
+        _assert_trajectory_matches_per_time(gen, rho0, np.linspace(0.0, 0.5, 11))
 
 
 def test_canonical_form_equivalence_on_random_states():
