@@ -32,6 +32,7 @@ import copy
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from collections.abc import Callable
@@ -248,10 +249,10 @@ def _grid(value, path):
 _REQUIRED = object()
 
 
-def _obj(fields, name=None):
+def _obj(fields, name=None, check=None):
     """Parser for an object declared as {key: (parser, default)}; keys are
-    checked, then parsed in table order.  ``name`` labels the parameters
-    block, whose fields are reported by bare key."""
+    checked, parsed in table order, and passed to ``check`` by keyword.
+    ``name`` labels the parameters block, whose fields are reported by bare key."""
     required = {key for key, (_, default) in fields.items() if default is _REQUIRED}
 
     def parse(value, path):
@@ -263,6 +264,8 @@ def _obj(fields, name=None):
             elif default is not None:
                 given = default(out) if callable(default) else default
                 out[key] = parser(given, key if name else f"{path}.{key}")
+        if check is not None:
+            check(**out)
         return out
 
     return parse
@@ -429,7 +432,6 @@ def _run_dephasing(s: Scenario, t_grid):
             f"stages, first at t = {min(negative_at)}: the generator is "
             "not GKSL there",
             NegativeRateWarning,
-            stacklevel=2,
         )
 
     for i, (t, state) in enumerate(zip(t_grid, trajectory)):
@@ -491,11 +493,12 @@ _FAMILIES = {
     "dephasing": _Family(
         schema=_obj({
             "omega0": (_number, _REQUIRED),
+            # SpectralDensity's checks (a finite prefactor) run at parse time
             "spectral": (_obj({
                 "coupling": (partial(_number, minimum=0.0), _REQUIRED),
                 "s": (_positive, _REQUIRED),
                 "omega_c": (_positive, _REQUIRED),
-            }), _REQUIRED),
+            }, check=SpectralDensity), _REQUIRED),
             "bath": (_obj({"beta": (_beta, _REQUIRED)}), _REQUIRED),
             "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
             "initial_coherence": (_complex_entry, [0.5, 0.0]),
@@ -685,32 +688,25 @@ def _suffixed(path: str, suffix: str) -> str:
 def _cmd_sweep(args) -> int:
     raw = _load_json(_read(args.scenario))
     base = validate_scenario(raw)  # validate before sweeping
-    values = [item.strip() for item in args.values.split(",") if item.strip()]
+    values = _split_values(args.values)
     if not values:
         raise ValidationError("--values must list at least one value")
     if len(set(values)) != len(values):
         raise ValidationError("--values must not repeat a value")
 
     runs = []
-    for text in values:
+    for i, text in enumerate(values, 1):
         value = _parse_sweep_value(text)
         variant_raw = copy.deepcopy(raw)
         _set_by_path(variant_raw["parameters"], base.parameters, args.param, value)
-        tag = f"{args.param.replace('.', '_')}_{text}".replace("/", "_")
-        variant_raw["output"] = {
-            "csv_path": _suffixed(base.csv_path, tag),
-            "report_path": _suffixed(base.report_path, tag),
-        }
+        # an array value is named by its position in --values
+        label = i if isinstance(value, list) else text
+        tag = f"{args.param.replace('.', '_')}_{label}".replace("/", "_")
+        variant_raw["output"] = {k: _suffixed(path, tag) for k, path in raw["output"].items()}
         variant = validate_scenario(variant_raw)
         report = _run_and_write(variant, f"{args.param}={text}:")
-        runs.append(
-            {
-                "value": value,
-                "csv_path": variant.csv_path,
-                "report_path": variant.report_path,
-                "passed": report.passed,
-            }
-        )
+        runs.append({"value": value, "csv_path": variant.csv_path,
+                     "report_path": variant.report_path, "passed": report.passed})
 
     manifest_path = _suffixed(base.report_path, "sweep_manifest")
     _write_json(manifest_path, {"param": args.param, "values": values, "runs": runs})
@@ -718,9 +714,21 @@ def _cmd_sweep(args) -> int:
     return 0 if all(run["passed"] for run in runs) else 1
 
 
+def _split_values(raw: str) -> list:
+    """The stripped, non-empty items of --values, split at the commas that
+    are outside [...] and outside JSON strings."""
+    cuts, depth = [-1], 0
+    for token in re.finditer(r'"(?:\\.|[^"\\])*"|[][,]', raw):
+        depth += {"[": 1, "]": -1}.get(token[0], 0)
+        if token[0] == "," and depth == 0:
+            cuts.append(token.start())
+    items = [raw[a + 1:b] for a, b in zip(cuts, cuts[1:] + [len(raw)])]
+    return [item.strip() for item in items if item.strip()]
+
+
 def _parse_sweep_value(text: str):
-    """Numbers become numbers, everything else stays a string (so the
-    "inf" beta sentinel and enum-valued keys sweep naturally)."""
+    """JSON values (numbers, arrays) are decoded, everything else stays a
+    string (so the "inf" beta sentinel and enum-valued keys sweep naturally)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -749,18 +757,24 @@ def build_parser() -> argparse.ArgumentParser:
     commands["sweep"].add_argument("--param", required=True,
                                    help="dotted path inside parameters, e.g. spectral.s")
     commands["sweep"].add_argument("--values", required=True,
-                                   help="comma-separated values, e.g. 0.5,1,2")
+                                   help="comma-separated values, e.g. 0.5,1,2; a JSON "
+                                        "array such as [[[5,0]]] is one value")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one stderr line per warning, without the source file, line and code
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         return args.func(args)
     except DecohereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

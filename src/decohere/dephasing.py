@@ -96,6 +96,13 @@ class SpectralDensity:
             raise ValidationError("exponent s must be > 0")
         if not (self.omega_c > 0):
             raise ValidationError("cutoff omega_c must be > 0")
+        try:  # J(w) = prefactor * w^s * exp(-w/omega_c), computed once
+            prefactor = self.coupling * self.omega_c ** (1.0 - self.s)
+        except OverflowError:
+            prefactor = math.inf
+        if not math.isfinite(prefactor):
+            raise ValidationError("spectral prefactor coupling * omega_c^(1 - s) overflows")
+        object.__setattr__(self, "_prefactor", prefactor)
 
     def __call__(self, omega: float) -> float:
         if omega < 0:
@@ -164,7 +171,7 @@ class DephasingModel:
     #
     # Each integral over w reads one _KERNELS entry, through the panel rule
     # with the weight as an array or, on fallback, integrate_oscillatory
-    # with the scalar weight, on the same truncated range.
+    # with the scalar weight, on the one range _spectral_integral truncates.
 
     @cached_property
     def _panel_rule(self) -> PanelRule:
@@ -177,7 +184,7 @@ class DephasingModel:
         """J(w) coth(beta w/2) / w^p (thermal) or J(w) / w^p for the panel
         rule's power p, smooth on [0, inf)."""
         j = self.spectral
-        envelope = (j.coupling * j.omega_c ** (1.0 - j.s)) * np.exp(w * (-1.0 / j.omega_c))
+        envelope = j._prefactor * np.exp(w * (-1.0 / j.omega_c))
         if self.bath.zero_temperature:
             return envelope
         return envelope * (self.bath.thermal_weight(w) if thermal else w)
@@ -189,20 +196,21 @@ class DephasingModel:
         weight = self._thermal if thermal else self.spectral
         spec = quad or DEFAULT_QUADRATURE
         wc = self.spectral.omega_c
+        # both routes integrate (0, upper): J decays as exp(-w/wc) beyond it
+        upper = spec.tail_cutoff_multiplier * wc
         bath = self.bath
         # coth(beta w/2) has poles at w = 2 pi i k / beta
         pole_scale = math.inf if bath.zero_temperature else 2 * math.pi / bath.beta
         value, _ = integrate_panels(
             lambda w: kernel(self._panel_weight(w, thermal), w, t),
             self._panel_rule,
-            spec.tail_cutoff_multiplier * wc,
+            upper,
             min(math.pi / t, wc) if t > 0 else wc,
             spec,
             head_width=pole_scale,
             fallback=lambda: integrate_oscillatory(
-                lambda w: weight(w) / w**m, trig, t, 0.0, math.inf, spec,
-                scale=wc, head=lambda w: kernel(weight(w), w, t),
-                breakpoints=(pole_scale,),
+                lambda w: weight(w) / w**m, trig, t, upper, spec,
+                head=lambda w: kernel(weight(w), w, t), breakpoints=(pole_scale,),
             ),
         )
         return value

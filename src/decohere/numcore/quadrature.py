@@ -1,8 +1,7 @@
 """Quadrature for the damped-oscillatory spectral integrands.
 
-Semi-infinite integrals are truncated at ``tail_cutoff_multiplier`` times a
-caller-supplied intrinsic scale (all spectral integrands in scope decay
-exponentially beyond their cutoff).
+Every routine integrates over a finite range; the caller decides where a
+decaying integrand is cut off.
 
 :func:`integrate_panels` is the fast rule.  It integrates w^p g(w) over
 (0, upper), for a power law w^p times a smooth g, by Gauss panels: a
@@ -19,9 +18,9 @@ caller's fallback computes the integral instead.
 :func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
 bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
 spectral integrals, takes an envelope times sin(t w), cos(t w) or
-1 - cos(t w): the product on the first stretch up to 1/t, split at the
-caller's breakpoints, then the trigonometric weight handed to an adaptive
-Clenshaw-Curtis rule.
+1 - cos(t w) over (0, upper): the product on the first stretch up to 1/t,
+split at the caller's breakpoints, then the trigonometric weight handed to
+an adaptive Clenshaw-Curtis rule.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from ..errors import (
     ValidationError,
 )
 
-# The oscillating factors of integrate_oscillatory, by kind.
-_TRIG = {"sin": math.sin, "cos": math.cos, "1-cos": lambda x: 1.0 - math.cos(x)}
+# The oscillating factors integrate_oscillatory takes.
+_TRIG = ("sin", "cos", "1-cos")
 
 
 @dataclass(frozen=True)
@@ -106,36 +105,19 @@ def _invoke_quad(f, a, b, spec, *, points=None, weight=None, wvar=None):
     return float(value), float(err)
 
 
-def _truncate(a: float, b: float, spec: QuadratureSpec, scale: float | None) -> float:
-    if not math.isfinite(a):
-        raise ValidationError("lower limit must be finite")
-    if math.isinf(b):
-        if scale is None or scale <= 0:
-            raise ValidationError(
-                "semi-infinite integration requires a positive intrinsic scale"
-            )
-        b = a + spec.tail_cutoff_multiplier * scale
-    if b < a:
-        raise ValidationError("integration limits must be ascending")
-    return b
-
-
 def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
     *,
-    scale: float | None = None,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """Integrate f over (a, b), b possibly +inf, to (value, error_estimate).
-
-    ``scale`` is the intrinsic frequency scale used to truncate b = +inf;
-    ``breakpoints`` inside (a, b) become subdivision points.
-    """
+    """Integrate f over the finite range (a, b) to (value, error_estimate);
+    ``breakpoints`` inside (a, b) become subdivision points."""
     spec = spec or DEFAULT_QUADRATURE
-    b = _truncate(a, b, spec, scale)
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValidationError("integration limits must be finite and ascending")
     if b == a:
         return 0.0, 0.0
 
@@ -147,46 +129,39 @@ def integrate_oscillatory(
     envelope: Callable[[float], float],
     kind: str,
     t: float,
-    a: float,
-    b: float,
+    upper: float,
     spec: QuadratureSpec | None = None,
     *,
-    scale: float | None = None,
-    head: Callable[[float], float] | None = None,
+    head: Callable[[float], float],
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate envelope(w) times sin(t w) (kind="sin"), cos(t w)
-    (kind="cos") or 1 - cos(t w) (kind="1-cos") over (a, b), b possibly
-    +inf, for t >= 0.
+    (kind="cos") or 1 - cos(t w) (kind="1-cos") over the finite range
+    (0, upper), for t >= 0.
 
-    The product is integrated directly over (a, split), split = min(a +
-    1/t, b) (b at t = 0), via ``head``, which callers supply when envelope
-    alone is singular at ``a`` (the weighted rule evaluates at interval
-    endpoints, the plain rule does not), by :func:`integrate_adaptive`
-    with the ``breakpoints`` that fall inside (a, split).  When split < b
-    a weighted Clenshaw-Curtis rule handles the rest (for "1-cos", the
-    plain integral of envelope minus the cosine-weighted one).
-    """
+    ``head``, that product written without the envelope's singularity at 0
+    (the weighted rule evaluates at interval endpoints), is integrated over
+    (0, min(1/t, upper)) by :func:`integrate_adaptive` with the
+    ``breakpoints`` inside; a weighted Clenshaw-Curtis rule takes the rest
+    (for "1-cos", the plain integral of envelope minus the cosine-weighted
+    one)."""
     spec = spec or DEFAULT_QUADRATURE
     if kind not in _TRIG:
         raise ValidationError('kind must be "sin", "cos" or "1-cos"')
     if not (t >= 0):
         raise ValidationError("oscillation parameter t must be >= 0")
-    b = _truncate(a, b, spec, scale)
-    if b == a:
-        return 0.0, 0.0
+    if not (0.0 <= upper < math.inf):
+        raise ValidationError("upper limit must be finite and >= 0")
 
-    if head is None:
-        head = lambda w: envelope(w) * _TRIG[kind](t * w)  # noqa: E731
-    split = min(a + 1.0 / t, b) if t > 0 else b
-    head_value, head_err = integrate_adaptive(head, a, split, spec, breakpoints=breakpoints)
-    if split == b:
+    split = min(1.0 / t, upper) if t > 0 else upper
+    head_value, head_err = integrate_adaptive(head, 0.0, split, spec, breakpoints=breakpoints)
+    if split == upper:
         return head_value, head_err
     if kind == "1-cos":
-        smooth, smooth_err = _invoke_quad(envelope, split, b, spec)
-        osc, osc_err = _invoke_quad(envelope, split, b, spec, weight="cos", wvar=t)
+        smooth, smooth_err = _invoke_quad(envelope, split, upper, spec)
+        osc, osc_err = _invoke_quad(envelope, split, upper, spec, weight="cos", wvar=t)
         return head_value + smooth - osc, head_err + smooth_err + osc_err
-    bulk_value, bulk_err = _invoke_quad(envelope, split, b, spec, weight=kind, wvar=t)
+    bulk_value, bulk_err = _invoke_quad(envelope, split, upper, spec, weight=kind, wvar=t)
     return head_value + bulk_value, head_err + bulk_err
 
 

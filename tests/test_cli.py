@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
@@ -421,6 +425,43 @@ def test_cli_invalid_kossakowski_exits_2_on_every_command(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
+SHIPPED_SPECTRAL_OVERFLOW = SHIPPED_INVALID_KOSSAKOWSKI.with_name(
+    "invalid_spectral_overflow.json")
+OVERFLOW_MESSAGE = "spectral prefactor coupling * omega_c^(1 - s) overflows"
+
+
+def test_parse_rejects_shipped_spectral_overflow():
+    with pytest.raises(ValidationError, match=re.escape(OVERFLOW_MESSAGE)):
+        parse_scenario(SHIPPED_SPECTRAL_OVERFLOW.read_bytes())
+
+
+def test_cli_spectral_overflow_exits_2_on_every_command(tmp_path, capsys):
+    # s = 400 with omega_c = 1e-3: omega_c^(1 - s) = 1e1197 is no float
+    raw = json.loads(SHIPPED_SPECTRAL_OVERFLOW.read_text())
+    raw["output"] = dephasing_scenario(tmp_path)["output"]
+    p = write_scenario(tmp_path, raw)
+    for argv in (["run", str(p)], ["check-cp", str(p)],
+                 ["sweep", str(p), "--param", "spectral.s", "--values", "1,2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {OVERFLOW_MESSAGE}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
+
+
+def test_cli_negative_rate_warning_is_one_line_without_a_source_location(tmp_path):
+    # the console script's stderr, as a user sees it: s = 3 at T = 0 turns
+    # gamma(t) negative after t = sqrt(3)
+    raw = dephasing_scenario(tmp_path, time={"t_max": 5.0, "n_points": 21})
+    raw["parameters"]["spectral"]["s"] = 3.0
+    p = write_scenario(tmp_path, raw)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "decohere.cli", "run", str(p)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("NegativeRateWarning: dephasing rate was negative at ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "cli.py" not in proc.stderr
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -712,6 +753,40 @@ def test_cli_sweep_rejects_repeated_values(tmp_path, capsys):
     assert main(["sweep", str(p), "--param", "spectral.s", "--values", "1,2, 1"]) == 2
     assert capsys.readouterr().err == "error: --values must not repeat a value\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("raw, items", [
+    ("0.5,1,2", ["0.5", "1", "2"]),
+    ("inf", ["inf"]),
+    (" 1, ,2 ", ["1", "2"]),
+    ("[[[5,0]]], [[[50,0]]]", ["[[[5,0]]]", "[[[50,0]]]"]),
+    ('"a,]b",[1,"c\\",d"],2', ['"a,]b"', '[1,"c\\",d"]', "2"]),
+])
+def test_sweep_values_split_outside_arrays_and_strings(raw, items):
+    assert cli._split_values(raw) == items
+
+
+def test_cli_sweep_keeps_a_matrix_value_whole(tmp_path):
+    def damped(rate, name):
+        raw = gksl_scenario(tmp_path)
+        lower = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        raw["parameters"]["lindblad_ops"] = [lower]
+        raw["parameters"]["kossakowski"] = [[[rate, 0.0]]]
+        raw["output"] = {"csv_path": str(tmp_path / f"{name}.csv"),
+                         "report_path": str(tmp_path / f"{name}_report.json")}
+        return write_scenario(tmp_path, raw, f"{name}.json")
+
+    p = damped(1.0, "damped")
+    values = "[[[5,0]]],[[[50,0]]]"
+    assert main(["sweep", str(p), "--param", "kossakowski", "--values", values]) == 0
+    manifest = json.loads((tmp_path / "damped_report_sweep_manifest.json").read_text())
+    assert manifest["values"] == ["[[[5,0]]]", "[[[50,0]]]"]
+    assert [run["value"] for run in manifest["runs"]] == [[[[5, 0]]], [[[50, 0]]]]
+    # an array value is named by its position in --values
+    for i, rate in ((1, 5.0), (2, 50.0)):
+        assert main(["run", str(damped(rate, f"direct_{i}"))]) == 0
+        swept = tmp_path / f"damped_kossakowski_{i}.csv"
+        assert swept.read_bytes() == (tmp_path / f"direct_{i}.csv").read_bytes()
 
 
 def test_cli_sweep_over_defaulted_key_matches_direct_runs(tmp_path):

@@ -430,6 +430,39 @@ def test_fallback_head_breaks_at_the_thermal_pole_scale():
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (a, b)
 
 
+@pytest.mark.parametrize("quad", [None, QuadratureSpec(tail_cutoff_multiplier=12.5)])
+def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
+    wc = 0.37
+    model = DephasingModel(0.0, SpectralDensity(0.7, 1.5, wc), BathSpec(3.0))
+    uppers = []
+
+    def panels(g, rule, upper, max_width, spec=None, *, head_width, fallback):
+        uppers.append(("panels", upper))
+        return fallback()
+
+    def oscillatory(envelope, kind, t, upper, spec=None, *, head, breakpoints=()):
+        uppers.append(("fallback", upper))
+        return 0.0, 0.0
+
+    monkeypatch.setattr(decohere.dephasing, "integrate_panels", panels)
+    monkeypatch.setattr(decohere.dephasing, "integrate_oscillatory", oscillatory)
+    model.bath_correlation(0.8, quad)
+    model.dephasing_rate(0.8, quad)
+    model.decoherence_function(0.8, quad)
+    upper = (quad or QuadratureSpec()).tail_cutoff_multiplier * wc
+    assert uppers == [(route, upper) for _ in range(4) for route in ("panels", "fallback")]
+
+
+def test_spectral_prefactor_overflow_is_rejected():
+    # wc^(1 - s) = 1e1197 overflows a float; at coupling 1e300 the product does
+    with pytest.raises(ValidationError, match="prefactor"):
+        SpectralDensity(1.0, 400.0, 1e-3)
+    with pytest.raises(ValidationError, match="prefactor"):
+        SpectralDensity(1e300, 3.0, 1e-5)
+    # an underflowing prefactor is a valid, negligible bath
+    assert SpectralDensity(1.0, 400.0, 1e3)(1.0) == 0.0
+
+
 def test_cross_check_integrates_only_re_alpha(monkeypatch):
     model = DephasingModel(0.0, SpectralDensity(0.7, 1.0, 1.0), BathSpec(2.0))
     t = 1.3
