@@ -12,17 +12,18 @@ schema is one table of ``key: (parser, default)`` entries walked by
 ``_obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
 ``OdeSpec``, and ``sweep`` patches the document as read.
 
-Each model family is one ``_Family`` record in ``_FAMILIES`` (schema,
-initial state, CSV columns, ``run``, check-cp ``channel``).
-``validate_scenario``, ``run_scenario`` and ``check_cp`` walk it and never
-branch on the model; ``validate_scenario`` builds the initial state, so every
-command rejects the same documents.  CSV output uses 17 significant digits
-(round-trip exact for doubles) and LF line endings, so identical scenarios
-produce byte-identical files.  check-cp writes its report to the scenario's
+Each model family is one ``_Family`` record in ``_FAMILIES`` (schema, built
+model, initial state, CSV columns, ``run``, check-cp ``channel``), walked
+without branching on the model.  ``validate_scenario`` builds the model (the
+dephasing model owns its quadrature spec) and the initial state once, so
+every command rejects the same documents; ``sweep`` validates every value
+before it runs any.  CSV output uses 17 significant digits (round-trip exact
+for doubles) and LF line endings, so identical scenarios produce
+byte-identical files.  check-cp writes its report to the scenario's
 ``report_path``, replacing a run's.  A NaN drift, residual or Choi
 eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation (an ODE
 state past the drift bound too), 2 usage/parse/validation error (an invalid
-initial state too) or an unwritable output path.
+initial state or too few law nodes too) or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ def _worst(old: float, new: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: model name, normalized parameter block, initial
-    state, time grid, optional numerics overrides, output paths."""
+    """Validated scenario: model name, normalized parameter block (for
+    ``sweep``'s path check), the model built from it, initial state, time
+    grid, optional ODE overrides, output paths."""
 
     model: str
     parameters: dict
+    system: DephasingModel | GkslGenerator | tuple
     rho0: DensityMatrix | col.PositionDensityMatrix
     t_max: float
     n_points: int
-    quadrature: QuadratureSpec | None
     ode: OdeSpec | None
     csv_path: str
     report_path: str
@@ -220,12 +222,10 @@ def _complex_entry(value, path):
     return complex(float(value[0]), float(value[1]))
 
 
-def _complex_matrix(value, path, dim=None):
+def _complex_matrix(value, path):
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{path} must be a non-empty matrix of [re, im] pairs")
     n = len(value)
-    if dim is not None and n != dim:
-        raise ValidationError(f"{path} must have {dim} rows, got {n}")
     m = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
@@ -233,6 +233,17 @@ def _complex_matrix(value, path, dim=None):
         for j, entry in enumerate(row):
             m[i, j] = _complex_entry(entry, f"{path}[{i}][{j}]")
     return m
+
+
+def _complex_matrices(value, path):
+    if not isinstance(value, list):
+        raise ValidationError(f"{path} must be a list of matrices")
+    return tuple(_complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(value))
+
+
+def _kossakowski(value, path):
+    """A complex matrix, or [] for the empty one of a generator without operators."""
+    return np.zeros((0, 0), dtype=complex) if value == [] else _complex_matrix(value, path)
 
 
 def _grid(value, path):
@@ -249,10 +260,10 @@ def _grid(value, path):
 _REQUIRED = object()
 
 
-def _obj(fields, name=None, check=None):
+def _obj(fields, name=None):
     """Parser for an object declared as {key: (parser, default)}; keys are
-    checked, parsed in table order, and passed to ``check`` by keyword.
-    ``name`` labels the parameters block, whose fields are reported by bare key."""
+    checked and parsed in table order.  ``name`` labels the parameters block,
+    whose fields are reported by bare key."""
     required = {key for key, (_, default) in fields.items() if default is _REQUIRED}
 
     def parse(value, path):
@@ -264,8 +275,6 @@ def _obj(fields, name=None, check=None):
             elif default is not None:
                 given = default(out) if callable(default) else default
                 out[key] = parser(given, key if name else f"{path}.{key}")
-        if check is not None:
-            check(**out)
         return out
 
     return parse
@@ -306,35 +315,10 @@ def _law(value, path):
     return _LAWS[kind][0](value, path)
 
 
-def _validate_gksl(params, path) -> dict:
-    keys = ("hamiltonian", "lindblad_ops", "kossakowski", "rho0")
-    _check_keys(params, path, allowed=keys, required=keys)
-    h = _complex_matrix(params["hamiltonian"], "hamiltonian")
-    d = h.shape[0]
-    ops_raw = params["lindblad_ops"]
-    if not isinstance(ops_raw, list):
-        raise ValidationError("lindblad_ops must be a list of matrices")
-    ops = [
-        _complex_matrix(op, f"lindblad_ops[{i}]", dim=d) for i, op in enumerate(ops_raw)
-    ]
-    m = len(ops)
-    if m == 0:
-        if params["kossakowski"] != []:
-            raise ValidationError(
-                "kossakowski must be [] when there are no Lindblad operators"
-            )
-        a = np.zeros((0, 0), dtype=complex)
-    else:
-        a = _complex_matrix(params["kossakowski"], "kossakowski", dim=m)
-    # the generator's checks (a PSD Kossakowski matrix) run at parse time
-    GkslGenerator(h, tuple(ops), a)
-    rho0 = _complex_matrix(params["rho0"], "rho0", dim=d)
-    return {"hamiltonian": h, "lindblad_ops": ops, "kossakowski": a, "rho0": rho0}
-
-
 _TIME = _obj({"t_max": (_positive, _REQUIRED),
               "n_points": (partial(_integer, minimum=2), _REQUIRED)})
-_NUMERICS = _obj({"quadrature": (_spec(QuadratureSpec), None), "ode": (_spec(OdeSpec), None)})
+# an absent quadrature block is the default spec; an absent ode block is None
+_NUMERICS = _obj({"quadrature": (_spec(QuadratureSpec), {}), "ode": (_spec(OdeSpec), None)})
 _OUTPUT = _obj({"csv_path": (_string, _REQUIRED), "report_path": (_string, _REQUIRED)})
 
 
@@ -375,14 +359,16 @@ def validate_scenario(raw) -> Scenario:
     keys = ("model", "parameters", "time", "output")
     _check_keys(raw, "scenario", allowed=keys + ("numerics",), required=keys)
     model = _string(raw["model"], "model", choices=tuple(_FAMILIES))
-    parameters = _FAMILIES[model].schema(raw["parameters"], "parameters")
+    family = _FAMILIES[model]
+    parameters = family.schema(raw["parameters"], "parameters")
+    numerics = _NUMERICS(raw.get("numerics", {}), "numerics")
+    system = family.system(parameters, numerics["quadrature"])
     try:
-        rho0 = _FAMILIES[model].rho0(parameters)
+        rho0 = family.rho0(parameters)
     except ValidationError as exc:
         raise ValidationError(f"initial state: {exc}") from exc
-    return Scenario(model=model, parameters=parameters, rho0=rho0,
-                    **_TIME(raw["time"], "time"),
-                    **_NUMERICS(raw.get("numerics", {}), "numerics"),
+    return Scenario(model=model, parameters=parameters, system=system, rho0=rho0,
+                    ode=numerics["ode"], **_TIME(raw["time"], "time"),
                     **_OUTPUT(raw["output"], "output"))
 
 
@@ -399,13 +385,18 @@ def _read_seed():
 # ----------------------------------------------------------------------
 
 
-def _dephasing_model(p) -> DephasingModel:
-    return DephasingModel(omega0=p["omega0"], spectral=SpectralDensity(**p["spectral"]),
-                          bath=BathSpec(**p["bath"]))
+def _collisional_system(p, _quadrature) -> tuple:
+    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
+    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
+    return law, col.build_discretized_generator(law, p["grid"], p["n_q"])
 
 
-def _gksl_generator(p) -> GkslGenerator:
-    return GkslGenerator(p["hamiltonian"], tuple(p["lindblad_ops"]), p["kossakowski"])
+def _gksl_system(p, _quadrature) -> GkslGenerator:
+    # GkslGenerator checks the operator and Kossakowski dimensions and PSD-ness
+    gen = GkslGenerator(p["hamiltonian"], p["lindblad_ops"], p["kossakowski"])
+    if len(p["rho0"]) != gen.dim:
+        raise ValidationError(f"rho0 must have {gen.dim} rows, got {len(p['rho0'])}")
+    return gen
 
 
 def _dephasing_rho0(p) -> DensityMatrix:
@@ -414,13 +405,13 @@ def _dephasing_rho0(p) -> DensityMatrix:
 
 
 def _run_dephasing(s: Scenario, t_grid):
-    model, quad, rho0 = _dephasing_model(s.parameters), s.quadrature, s.rho0
+    model, rho0 = s.system, s.rho0
 
     # the Runge-Kutta stages with a negative rate, reported as one warning
     negative_at = []
 
     def rate(t):
-        gamma = model.dephasing_rate(t, quad)
+        gamma = model.dephasing_rate(t)
         if gamma < 0:
             negative_at.append(t)
         return gamma
@@ -436,8 +427,8 @@ def _run_dephasing(s: Scenario, t_grid):
 
     for i, (t, state) in enumerate(zip(t_grid, trajectory)):
         t, m = float(t), state.matrix
-        gamma = model.dephasing_rate(t, quad)
-        big_gamma = model.decoherence_function(t, quad)
+        gamma = model.dephasing_rate(t)
+        big_gamma = model.decoherence_function(t)
         coh = model._coherence_from(rho0, t, big_gamma)
         residuals = {
             "coherence_abs_analytic_vs_ode": abs(abs(coh) - abs(m[0, 1])),
@@ -446,17 +437,14 @@ def _run_dephasing(s: Scenario, t_grid):
         }
         if i == len(t_grid) - 1:  # the two routes to gamma and Gamma, once
             residuals["gamma_two_forms"] = abs(
-                gamma - model.dephasing_rate_from_correlation(t, quad))
+                gamma - model.dephasing_rate_from_correlation(t))
             residuals["decoherence_function_two_forms"] = abs(
-                big_gamma - model.decoherence_function_from_rate(t, quad))
+                big_gamma - model.decoherence_function_from_rate(t))
         yield m, (gamma, big_gamma, coh.real, coh.imag, abs(coh), abs(m[0, 1])), residuals
 
 
 def _run_collisional(s: Scenario, t_grid):
-    p, rho0 = s.parameters, s.rho0
-    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
-    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
-    gen = col.build_discretized_generator(law, rho0.grid, p["n_q"])
+    (law, gen), rho0 = s.system, s.rho0
     extreme_dx = float(rho0.grid[-1] - rho0.grid[0])
     for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, s.ode)):
         exact, m = col.evolve_exact(rho0, law, float(t)).matrix, state.matrix
@@ -469,7 +457,7 @@ def _run_collisional(s: Scenario, t_grid):
 
 
 def _run_gksl(s: Scenario, t_grid):
-    gen, rho0 = _gksl_generator(s.parameters), s.rho0
+    gen, rho0 = s.system, s.rho0
     # the reference route: powers of exp(dt L) on the uniform grid
     references = semigroup_trajectory(gen, rho0, s.t_max / (s.n_points - 1), s.n_points)
     for state, reference in zip(integrate_constant(gen, rho0, t_grid, s.ode), references):
@@ -483,10 +471,11 @@ class _Family:
     """One model family, as validate_scenario, run_scenario and check_cp see it."""
 
     schema: Callable  # (raw parameters, path) -> parameters dict
+    system: Callable  # (parameters, quadrature) -> DephasingModel, GkslGenerator or (law, gen)
     rho0: Callable  # parameters dict -> initial state
     columns: tuple  # CSV columns between "t" and "trace_drift"
     run: Callable  # (scenario, t_grid) -> per time: state, row values, residuals
-    channel: Callable | None  # scenario -> (t -> Superoperator); None: no check-cp
+    channel: Callable | None  # Scenario.system -> (t -> Superoperator); None: no check-cp
 
 
 _FAMILIES = {
@@ -498,16 +487,18 @@ _FAMILIES = {
                 "coupling": (partial(_number, minimum=0.0), _REQUIRED),
                 "s": (_positive, _REQUIRED),
                 "omega_c": (_positive, _REQUIRED),
-            }, check=SpectralDensity), _REQUIRED),
+            }), _REQUIRED),
             "bath": (_obj({"beta": (_beta, _REQUIRED)}), _REQUIRED),
             "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
             "initial_coherence": (_complex_entry, [0.5, 0.0]),
         }, name="parameters"),
+        system=lambda p, quadrature: DephasingModel(
+            p["omega0"], SpectralDensity(**p["spectral"]), BathSpec(**p["bath"]), quadrature),
         rho0=_dephasing_rho0,
         columns=("gamma", "Gamma", "coherence_re", "coherence_im", "coherence_abs",
                  "coherence_abs_numeric"),
         run=_run_dephasing,
-        channel=lambda s: partial(_dephasing_model(s.parameters).channel, quad=s.quadrature),
+        channel=lambda model: model.channel,
     ),
     "collisional": _Family(
         schema=_obj({
@@ -517,17 +508,24 @@ _FAMILIES = {
             "n_q": (partial(_integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
             "initial_state": (partial(_string, choices=("superposition",)), "superposition"),
         }, name="parameters"),
+        system=_collisional_system,
         rho0=lambda p: col.PositionDensityMatrix.superposition(p["grid"]),
         columns=("offdiag_abs", "offdiag_abs_numeric", "decoherence_factor"),
         run=_run_collisional,
         channel=None,
     ),
     "gksl": _Family(
-        schema=_validate_gksl,
+        schema=_obj({
+            "hamiltonian": (_complex_matrix, _REQUIRED),
+            "lindblad_ops": (_complex_matrices, _REQUIRED),
+            "kossakowski": (_kossakowski, _REQUIRED),
+            "rho0": (_complex_matrix, _REQUIRED),
+        }, name="parameters"),
+        system=_gksl_system,
         rho0=lambda p: DensityMatrix(p["rho0"]),
         columns=("trace_re", "purity", "coherence_abs"),
         run=_run_gksl,
-        channel=lambda s: semigroup_channel(_gksl_generator(s.parameters)),
+        channel=semigroup_channel,
     ),
 }
 
@@ -550,7 +548,7 @@ def check_cp(s: Scenario, t_list) -> InvariantReport:
     channel = _FAMILIES[s.model].channel
     if channel is None:
         raise ValidationError("check-cp supports gksl and dephasing scenarios only")
-    propagator = channel(s)
+    propagator = channel(s.system)
     report = InvariantReport(seed=_read_seed(), choi_eigenvalue_by_time={})
     negativity = -math.inf  # largest -(min Choi eigenvalue) over the times
     for t in t_list:
@@ -643,11 +641,14 @@ def _cmd_run(args) -> int:
 
 
 def _parse_times(raw: str):
+    items = _split_values(raw)
+    if not items:
+        raise ValidationError("--times must list at least one time")
     try:
-        times = [float(item) for item in raw.split(",") if item.strip()]
+        times = [float(item) for item in items]
     except ValueError as exc:
         raise ValidationError(f"--times must be comma-separated numbers: {exc}")
-    if not times or any(t < 0 or not math.isfinite(t) for t in times):
+    if any(t < 0 or not math.isfinite(t) for t in times):
         raise ValidationError("--times must be finite and >= 0")
     if len(set(times)) != len(times):
         raise ValidationError("--times must not repeat a time")
@@ -694,7 +695,7 @@ def _cmd_sweep(args) -> int:
     if len(set(values)) != len(values):
         raise ValidationError("--values must not repeat a value")
 
-    runs = []
+    variants = []  # every value is validated before any runs
     for i, text in enumerate(values, 1):
         value = _parse_sweep_value(text)
         variant_raw = copy.deepcopy(raw)
@@ -703,7 +704,10 @@ def _cmd_sweep(args) -> int:
         label = i if isinstance(value, list) else text
         tag = f"{args.param.replace('.', '_')}_{label}".replace("/", "_")
         variant_raw["output"] = {k: _suffixed(path, tag) for k, path in raw["output"].items()}
-        variant = validate_scenario(variant_raw)
+        variants.append((text, value, validate_scenario(variant_raw)))
+
+    runs = []
+    for text, value, variant in variants:
         report = _run_and_write(variant, f"{args.param}={text}:")
         runs.append({"value": value, "csv_path": variant.csv_path,
                      "report_path": variant.report_path, "passed": report.passed})

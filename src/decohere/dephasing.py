@@ -153,11 +153,13 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class DephasingModel:
-    """Two-level pure dephasing: free frequency, spectral density, bath."""
+    """Two-level pure dephasing: free frequency, spectral density, bath, and
+    the quadrature spec of its spectral integrals."""
 
     omega0: float
     spectral: SpectralDensity
     bath: BathSpec
+    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not math.isfinite(self.omega0):
@@ -189,12 +191,13 @@ class DephasingModel:
             return envelope
         return envelope * (self.bath.thermal_weight(w) if thermal else w)
 
-    def _spectral_integral(self, kind: str, t: float, quad: QuadratureSpec | None) -> float:
+    def _spectral_integral(self, kind: str, t: float) -> float:
         """The integral ``kind`` of :data:`_KERNELS` at t >= 0, by the panel
-        rule, or by one QUADPACK route when the rule's estimate misses quad."""
+        rule, or by one QUADPACK route when the rule's estimate misses
+        :attr:`quadrature`."""
         thermal, kernel, (trig, m) = _KERNELS[kind]
         weight = self._thermal if thermal else self.spectral
-        spec = quad or DEFAULT_QUADRATURE
+        spec = self.quadrature
         wc = self.spectral.omega_c
         # both routes integrate (0, upper): J decays as exp(-w/wc) beyond it
         upper = spec.tail_cutoff_multiplier * wc
@@ -222,47 +225,39 @@ class DephasingModel:
 
     # -- bath correlation function -------------------------------------
 
-    def bath_correlation(self, t: float, quad: QuadratureSpec | None = None) -> complex:
+    def bath_correlation(self, t: float) -> complex:
         """alpha(t): real part integral of J(w) coth(beta w/2) cos(w t),
         imaginary part -integral of J(w) sin(w t), over w in (0, inf).
         Even real part, odd imaginary part in t."""
         if not math.isfinite(t):
             raise ValidationError("t must be finite")
-        real = self._spectral_integral("Re alpha", abs(t), quad)
-        imag = self._spectral_integral("Im alpha", abs(t), quad)
+        real = self._spectral_integral("Re alpha", abs(t))
+        imag = self._spectral_integral("Im alpha", abs(t))
         return complex(real, -imag if t > 0 else imag)
 
     # -- dephasing rate gamma(t) ----------------------------------------
 
-    def dephasing_rate(self, t: float, quad: QuadratureSpec | None = None) -> float:
+    def dephasing_rate(self, t: float) -> float:
         """gamma(t) = integral of J(w) coth(beta w/2) sin(w t)/w dw."""
-        return _from_zero(t, lambda: self._spectral_integral("gamma", t, quad))
+        return _from_zero(t, lambda: self._spectral_integral("gamma", t))
 
-    def dephasing_rate_from_correlation(
-        self, t: float, quad: QuadratureSpec | None = None
-    ) -> float:
+    def dephasing_rate_from_correlation(self, t: float) -> float:
         """Independent route: integral of Re alpha(tau) for tau in (0, t)."""
-        return self._tau_integral(
-            lambda tau: self._spectral_integral("Re alpha", tau, quad), t
-        )
+        return self._tau_integral(lambda tau: self._spectral_integral("Re alpha", tau), t)
 
     # -- decoherence function Gamma(t) ----------------------------------
 
-    def decoherence_function(self, t: float, quad: QuadratureSpec | None = None) -> float:
+    def decoherence_function(self, t: float) -> float:
         """Gamma(t) = integral of J(w) coth(beta w/2) (1 - cos(w t))/w^2 dw."""
-        return _from_zero(t, lambda: self._spectral_integral("Gamma", t, quad))
+        return _from_zero(t, lambda: self._spectral_integral("Gamma", t))
 
-    def decoherence_function_from_rate(
-        self, t: float, quad: QuadratureSpec | None = None
-    ) -> float:
+    def decoherence_function_from_rate(self, t: float) -> float:
         """Independent route: integral of gamma(tau) for tau in (0, t)."""
-        return self._tau_integral(lambda tau: self.dephasing_rate(tau, quad), t)
+        return self._tau_integral(self.dephasing_rate, t)
 
     # -- exact solution ---------------------------------------------------
 
-    def coherence(
-        self, rho0: DensityMatrix, t: float, quad: QuadratureSpec | None = None
-    ) -> complex:
+    def coherence(self, rho0: DensityMatrix, t: float) -> complex:
         """Predicted matrix[0, 1] element at time t: the initial coherence
         damped by exp(-Gamma(t)) and rotated by exp(-2i*omega0*t)."""
         if rho0.dim != 2:
@@ -271,7 +266,7 @@ class DephasingModel:
             raise ValidationError("t must be >= 0")
         if rho0.matrix[0, 1] == 0:
             return 0.0j
-        return self._coherence_from(rho0, t, self.decoherence_function(t, quad))
+        return self._coherence_from(rho0, t, self.decoherence_function(t))
 
     def _coherence_from(self, rho0: DensityMatrix, t: float, gamma_int: float) -> complex:
         """:meth:`coherence` given Gamma(t), for callers that already hold it."""
@@ -280,10 +275,10 @@ class DephasingModel:
             return 0.0j
         return c0 * math.exp(-gamma_int) * np.exp(-2j * self.omega0 * t)
 
-    def channel(self, t: float, quad: QuadratureSpec | None = None) -> Superoperator:
+    def channel(self, t: float) -> Superoperator:
         """Exact (time-ordered) dephasing channel at time t as a superoperator:
         populations fixed, coherence multiplied by exp(-Gamma(t) - 2i omega0 t)."""
-        f = math.exp(-self.decoherence_function(t, quad)) * np.exp(-2j * self.omega0 * t)
+        f = math.exp(-self.decoherence_function(t)) * np.exp(-2j * self.omega0 * t)
         return Superoperator(np.diag([1.0, np.conj(f), f, 1.0]))
 
     @cached_property
@@ -293,9 +288,9 @@ class DephasingModel:
         return (GkslGenerator(self.omega0 * SIGMA_Z),
                 GkslGenerator(np.zeros((2, 2)), (SIGMA_Z,), [[0.5]]))
 
-    def generator_at(self, t: float, quad: QuadratureSpec | None = None) -> GkslGenerator:
+    def generator_at(self, t: float) -> GkslGenerator:
         """The generator L0 + gamma(t) L1 of :attr:`generator_parts` at time t."""
-        gamma = self.dephasing_rate(t, quad)
+        gamma = self.dephasing_rate(t)
         if gamma < 0:
             warnings.warn(
                 f"dephasing rate is negative at t = {t}: the generator is "

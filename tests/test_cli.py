@@ -23,6 +23,7 @@ from decohere.cli import (
     run_scenario,
     validate_scenario,
 )
+from decohere.dephasing import SpectralDensity
 from decohere.errors import NegativeRateWarning, ParseError, ValidationError
 
 
@@ -77,6 +78,11 @@ def gksl_scenario(tmp_path):
     }
 
 
+def gksl_parameters(**changes):
+    """gksl_scenario's parameter block with some keys replaced."""
+    return {**gksl_scenario(Path())["parameters"], **changes}
+
+
 def write_scenario(tmp_path, raw, name="scenario.json"):
     p = tmp_path / name
     p.write_text(json.dumps(raw))
@@ -124,6 +130,9 @@ def test_parse_error_carries_line_and_column():
 
 # (factory, path inside the document, new value or DELETE, exact message)
 DELETE = object()
+ZERO_3 = [[[0, 0]] * 3] * 3
+THIRD_OF_IDENTITY_3 = [[[1 / 3 if i == j else 0, 0] for j in range(3)] for i in range(3)]
+LOWERING = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
 INVALID_DOCUMENTS = [
     (dephasing_scenario, ("time",), DELETE, 'missing required key "time" in scenario'),
     (dephasing_scenario, ("parameters", "bath", "beta"), DELETE,
@@ -164,7 +173,17 @@ INVALID_DOCUMENTS = [
     (collisional_scenario, ("parameters", "law", "kind"), "x",
      'law.kind must be one of "gaussian", "two_point"'),
     (gksl_scenario, ("parameters", "rho0"), [[[1, 0], [0, 0]]] * 3,
+     "rho0[0] must be a row of 3 [re, im] pairs"),
+    # GkslGenerator checks the dimensions; the rho0 rows are checked against it
+    (gksl_scenario, ("parameters",), gksl_parameters(rho0=THIRD_OF_IDENTITY_3),
      "rho0 must have 2 rows, got 3"),
+    (gksl_scenario, ("parameters",),
+     gksl_parameters(lindblad_ops=[ZERO_3], kossakowski=[[[1, 0]]]),
+     "lindblad_ops[0] shape (3, 3) != hamiltonian (2, 2)"),
+    (gksl_scenario, ("parameters",), gksl_parameters(kossakowski=[[[1, 0]]]),
+     "kossakowski is 1x1 but there are 0 Lindblad operators"),
+    (gksl_scenario, ("parameters",), gksl_parameters(lindblad_ops=[LOWERING]),
+     "kossakowski is 0x0 but there are 1 Lindblad operators"),
 ]
 # documents that parse but whose initial state is not a density matrix
 INVALID_INITIAL_STATES = [
@@ -239,7 +258,7 @@ def test_numerics_overrides_validated(tmp_path):
     )
     s = parse_scenario(json.dumps(raw))
     assert s.ode.abs_tol == 1e-10
-    assert s.quadrature.rel_tol == 1e-11
+    assert s.system.quadrature.rel_tol == 1e-11
     raw["numerics"]["ode"]["bogus"] = 1
     with pytest.raises(ValidationError, match='"bogus"'):
         parse_scenario(json.dumps(raw))
@@ -311,6 +330,23 @@ def test_run_dephasing_builds_its_generators_once(tmp_path, monkeypatch):
             dephasing_scenario(tmp_path, time={"t_max": 1.0, "n_points": n_points})))
         counts.append(len(built))
     assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("factory, model_class", [
+    (gksl_scenario, decohere.gksl.GkslGenerator),
+    (dephasing_scenario, SpectralDensity),
+], ids=["gksl", "dephasing"])
+def test_each_command_builds_its_model_once(tmp_path, monkeypatch, factory, model_class):
+    # validate_scenario builds the model; run and check-cp only read it
+    built = []
+    post_init = model_class.__post_init__
+    monkeypatch.setattr(model_class, "__post_init__",
+                        lambda model, *args: built.append(model) or post_init(model, *args))
+    p = write_scenario(tmp_path, factory(tmp_path))
+    for argv in (["run", str(p)], ["check-cp", str(p), "--times", "1"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1, argv
 
 
 def test_run_collisional_oracle(tmp_path):
@@ -404,8 +440,8 @@ def test_cli_nonpsd_kossakowski_exits_2(tmp_path):
     assert main(["run", str(p)]) == 2
 
 
-SHIPPED_INVALID_KOSSAKOWSKI = (
-    Path(__file__).resolve().parent.parent / "scenarios" / "invalid_kossakowski.json")
+SHIPPED_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED_INVALID_KOSSAKOWSKI = SHIPPED_SCENARIOS / "invalid_kossakowski.json"
 KOSSAKOWSKI_MESSAGE = "kossakowski matrix is not positive semidefinite"
 
 
@@ -444,6 +480,20 @@ def test_cli_spectral_overflow_exits_2_on_every_command(tmp_path, capsys):
                  ["sweep", str(p), "--param", "spectral.s", "--values", "1,2"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {OVERFLOW_MESSAGE}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
+
+
+NODES_MESSAGE = "gaussian law needs n_q >= 16 quadrature nodes, got 8"
+
+
+def test_cli_too_few_law_nodes_exit_2_at_parse_time(tmp_path, capsys):
+    raw = collisional_scenario(tmp_path)
+    raw["parameters"]["n_q"] = 8
+    p = write_scenario(tmp_path, raw)
+    for argv in (["run", str(p)], ["check-cp", str(p)],
+                 ["sweep", str(p), "--param", "rate", "--values", "1,2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {NODES_MESSAGE}\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
@@ -627,6 +677,13 @@ def test_cli_check_cp_keys_each_time(tmp_path, capsys, times, keys):
     assert list(report["cross_check_residuals"]) == [f"choi_negativity_t_{k}" for k in keys]
 
 
+@pytest.mark.parametrize("times", ["", " , "])
+def test_cli_check_cp_rejects_an_empty_time_list(tmp_path, capsys, times):
+    p = write_scenario(tmp_path, gksl_scenario(tmp_path))
+    assert main(["check-cp", str(p), "--times", times]) == 2
+    assert capsys.readouterr().err == "error: --times must list at least one time\n"
+
+
 @pytest.mark.parametrize("times", ["1,1.0", "2,0.5,2", "0,-0"])
 def test_cli_check_cp_rejects_duplicate_times(tmp_path, capsys, times):
     p = write_scenario(tmp_path, gksl_scenario(tmp_path))
@@ -753,6 +810,23 @@ def test_cli_sweep_rejects_repeated_values(tmp_path, capsys):
     assert main(["sweep", str(p), "--param", "spectral.s", "--values", "1,2, 1"]) == 2
     assert capsys.readouterr().err == "error: --values must not repeat a value\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name, path, value, param, values, message", [
+    # s = 1 is valid; s = 400 overflows the prefactor at omega_c = 1e-3
+    ("dephasing_ohmic_zero_temperature", ("parameters", "spectral", "omega_c"), 1e-3,
+     "spectral.s", "1,400", OVERFLOW_MESSAGE),
+    ("collisional_two_site", ("parameters", "n_q"), 64, "n_q", "64,8", NODES_MESSAGE),
+], ids=["dephasing", "collisional"])
+def test_cli_sweep_validates_every_value_before_it_runs_any(
+        tmp_path, capsys, name, path, value, param, values, message):
+    raw = _patched(json.loads((SHIPPED_SCENARIOS / f"{name}.json").read_text()), path, value)
+    raw["output"] = {"csv_path": str(tmp_path / "run.csv"),
+                     "report_path": str(tmp_path / "report.json")}
+    p = write_scenario(tmp_path, raw)
+    assert main(["sweep", str(p), "--param", param, "--values", values]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
 @pytest.mark.parametrize("raw, items", [

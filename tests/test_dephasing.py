@@ -433,7 +433,8 @@ def test_fallback_head_breaks_at_the_thermal_pole_scale():
 @pytest.mark.parametrize("quad", [None, QuadratureSpec(tail_cutoff_multiplier=12.5)])
 def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
     wc = 0.37
-    model = DephasingModel(0.0, SpectralDensity(0.7, 1.5, wc), BathSpec(3.0))
+    model = DephasingModel(0.0, SpectralDensity(0.7, 1.5, wc), BathSpec(3.0),
+                           **({} if quad is None else {"quadrature": quad}))
     uppers = []
 
     def panels(g, rule, upper, max_width, spec=None, *, head_width, fallback):
@@ -446,9 +447,9 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
 
     monkeypatch.setattr(decohere.dephasing, "integrate_panels", panels)
     monkeypatch.setattr(decohere.dephasing, "integrate_oscillatory", oscillatory)
-    model.bath_correlation(0.8, quad)
-    model.dephasing_rate(0.8, quad)
-    model.decoherence_function(0.8, quad)
+    model.bath_correlation(0.8)
+    model.dephasing_rate(0.8)
+    model.decoherence_function(0.8)
     upper = (quad or QuadratureSpec()).tail_cutoff_multiplier * wc
     assert uppers == [(route, upper) for _ in range(4) for route in ("panels", "fallback")]
 
@@ -470,9 +471,9 @@ def test_cross_check_integrates_only_re_alpha(monkeypatch):
     kinds = []
     spectral_integral = DephasingModel._spectral_integral
 
-    def spy(self, kind, tau, quad):
+    def spy(self, kind, tau):
         kinds.append(kind)
-        return spectral_integral(self, kind, tau, quad)
+        return spectral_integral(self, kind, tau)
 
     monkeypatch.setattr(DephasingModel, "_spectral_integral", spy)
     assert model.dephasing_rate_from_correlation(t) == by_correlation
@@ -513,12 +514,13 @@ def test_tight_tolerance_falls_back_to_quadpack(monkeypatch):
         return panels(*args, fallback=counted, **kwargs)
 
     model = DephasingModel(0.0, SpectralDensity(0.7, 2.0, 1.0), BathSpec(0.5))
-    tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+    tight = DephasingModel(model.omega0, model.spectral, model.bath,
+                           quadrature=QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14))
     with _quadpack_route():
-        want = (model.dephasing_rate(1.0, tight), model.decoherence_function(1.0, tight))
+        want = (tight.dephasing_rate(1.0), tight.decoherence_function(1.0))
     monkeypatch.setattr(decohere.dephasing, "integrate_panels", spy)
-    assert model.dephasing_rate(1.0, tight) == want[0]
-    assert model.decoherence_function(1.0, tight) == want[1]
+    assert tight.dephasing_rate(1.0) == want[0]
+    assert tight.decoherence_function(1.0) == want[1]
     assert len(fallbacks) == 2
     model.dephasing_rate(1.0)
     model.decoherence_function(1.0)
