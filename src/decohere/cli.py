@@ -482,7 +482,8 @@ _FAMILIES = {
     "dephasing": _Family(
         schema=_obj({
             "omega0": (_number, _REQUIRED),
-            # SpectralDensity's checks (a finite prefactor) run at parse time
+            # SpectralDensity's checks (a finite, nonzero prefactor and a finite
+            # total weight) run at parse time
             "spectral": (_obj({
                 "coupling": (partial(_number, minimum=0.0), _REQUIRED),
                 "s": (_positive, _REQUIRED),

@@ -31,6 +31,7 @@ panel rule and its QUADPACK fallback read.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,12 +47,16 @@ from .numcore import (
     integrate_adaptive,
     integrate_oscillatory,
     integrate_panels,
+    panel_layout,
 )
 
 # Outer spec for the nested time-domain cross-check integrals: tight
 # relative tolerance so the check stays meaningful for large hot-bath
 # values of Gamma.
 _CROSS_CHECK_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-11)
+
+# log of the largest float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _from_zero(t: float, integral) -> float:
@@ -102,6 +107,12 @@ class SpectralDensity:
             prefactor = math.inf
         if not math.isfinite(prefactor):
             raise ValidationError("spectral prefactor coupling * omega_c^(1 - s) overflows")
+        if prefactor == 0.0 and self.coupling > 0:
+            raise ValidationError("spectral prefactor coupling * omega_c^(1 - s) underflows to 0")
+        # coupling * omega_c^2 * Gamma(s + 1), the integral of J, sizes the panel sums
+        if self.coupling > 0 and (math.log(self.coupling) + 2.0 * math.log(self.omega_c)
+                                  + math.lgamma(self.s + 1.0) > _LOG_FLOAT_MAX):
+            raise ValidationError("spectral weight coupling * omega_c^2 * Gamma(s + 1) overflows")
         object.__setattr__(self, "_prefactor", prefactor)
 
     def __call__(self, omega: float) -> float:
@@ -174,6 +185,10 @@ class DephasingModel:
     # Each integral over w reads one _KERNELS entry, through the panel rule
     # with the weight as an array or, on fallback, integrate_oscillatory
     # with the scalar weight, on the one range _spectral_integral truncates.
+    # The panels are no wider than pi/t, so that each holds at most half a
+    # period of the kernel; their width is wc / 2^k, which changes only
+    # when t doubles, so a model builds each layout, with its nodes,
+    # weights and the t-independent panel weight at its nodes, once.
 
     @cached_property
     def _panel_rule(self) -> PanelRule:
@@ -181,6 +196,12 @@ class DephasingModel:
         J(w) coth(beta w/2) ~ w^(s-1) at finite temperature, J(w) ~ w^s at
         T = 0.  Built once per model."""
         return PanelRule(self.spectral.s - (0.0 if self.bath.zero_temperature else 1.0))
+
+    @cached_property
+    def _layouts(self) -> dict:
+        """(thermal, k) -> (PanelLayout, its panel weight) for panels of
+        width wc / 2^k; filled by :meth:`_panel_layout`."""
+        return {}
 
     def _panel_weight(self, w: np.ndarray, thermal: bool) -> np.ndarray:
         """J(w) coth(beta w/2) / w^p (thermal) or J(w) / w^p for the panel
@@ -191,6 +212,29 @@ class DephasingModel:
             return envelope
         return envelope * (self.bath.thermal_weight(w) if thermal else w)
 
+    def _panel_layout(self, thermal: bool, t: float, upper: float, head_width: float):
+        """(layout, panel weight at its nodes) for the integrals at t, with
+        panels of width wc / 2^k for the smallest k >= 0 that keeps them no
+        wider than pi/t; (None, None) when no layout fits max_subdivisions.
+        When that width needs too many panels but pi/t does not, the pi/t
+        layout is built for this call alone."""
+        wc = self.spectral.omega_c
+        limit = math.pi / t if t > 0 else math.inf
+        k = 0
+        while wc / 2**k > limit:
+            k += 1
+        key = (thermal, k)
+        if key not in self._layouts:
+            budget = self.quadrature.max_subdivisions
+            layout = panel_layout(self._panel_rule, upper, wc / 2**k, budget,
+                                  head_width=head_width)
+            if layout is None:  # too many panels: pi/t may need fewer, for this call alone
+                exact = panel_layout(self._panel_rule, upper, limit, budget,
+                                     head_width=head_width) if k else None
+                return exact, None if exact is None else self._panel_weight(exact.nodes, thermal)
+            self._layouts[key] = (layout, self._panel_weight(layout.nodes, thermal))
+        return self._layouts[key]
+
     def _spectral_integral(self, kind: str, t: float) -> float:
         """The integral ``kind`` of :data:`_KERNELS` at t >= 0, by the panel
         rule, or by one QUADPACK route when the rule's estimate misses
@@ -198,19 +242,16 @@ class DephasingModel:
         thermal, kernel, (trig, m) = _KERNELS[kind]
         weight = self._thermal if thermal else self.spectral
         spec = self.quadrature
-        wc = self.spectral.omega_c
         # both routes integrate (0, upper): J decays as exp(-w/wc) beyond it
-        upper = spec.tail_cutoff_multiplier * wc
+        upper = spec.tail_cutoff_multiplier * self.spectral.omega_c
         bath = self.bath
         # coth(beta w/2) has poles at w = 2 pi i k / beta
         pole_scale = math.inf if bath.zero_temperature else 2 * math.pi / bath.beta
-        value, _ = integrate_panels(
-            lambda w: kernel(self._panel_weight(w, thermal), w, t),
-            self._panel_rule,
-            upper,
-            min(math.pi / t, wc) if t > 0 else wc,
+        layout, panel_weight = self._panel_layout(thermal, t, upper, pole_scale)
+        value, _ = integrate_panels(  # g is called only at layout.nodes
+            lambda w: kernel(panel_weight, w, t),
+            layout,
             spec,
-            head_width=pole_scale,
             fallback=lambda: integrate_oscillatory(
                 lambda w: weight(w) / w**m, trig, t, upper, spec,
                 head=lambda w: kernel(weight(w), w, t), breakpoints=(pole_scale,),

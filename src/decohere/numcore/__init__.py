@@ -17,17 +17,20 @@ from .linalg import (
 from .ode import DEFAULT_ODE, OdeSpec, ode_solve
 from .quadrature import (
     DEFAULT_QUADRATURE,
+    PanelLayout,
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
     integrate_oscillatory,
     integrate_panels,
+    panel_layout,
 )
 
 __all__ = [
     "DEFAULT_ODE",
     "DEFAULT_QUADRATURE",
     "OdeSpec",
+    "PanelLayout",
     "PanelRule",
     "QuadratureSpec",
     "as_square_complex",
@@ -38,6 +41,7 @@ __all__ = [
     "integrate_oscillatory",
     "integrate_panels",
     "matrix_exp",
+    "panel_layout",
     "ode_solve",
     "require_hermitian",
 ]

@@ -4,16 +4,20 @@ Every routine integrates over a finite range; the caller decides where a
 decaying integrand is cut off.
 
 :func:`integrate_panels` is the fast rule.  It integrates w^p g(w) over
-(0, upper), for a power law w^p times a smooth g, by Gauss panels: a
-Gauss-Jacobi head panel carries the weight w^p exactly, the panels after
-it double in width until they reach the caller's maximum width (pi/t for
-an integrand oscillating as sin/cos(w t)), and Gauss-Legendre panels of at
-most that width cover the rest.  g is evaluated once, as one numpy array
-over the nodes of an n- and a 2n-point rule on every panel; the sum of
-their per-panel differences, plus a roundoff floor, is the error estimate.
-When that estimate misses max(abs_tol, rel_tol * |value|), the values
-are not finite, or the panel count exceeds ``max_subdivisions``, the
-caller's fallback computes the integral instead.
+(0, upper), for a power law w^p times a smooth g, by Gauss panels that
+:func:`panel_layout` lays out once: a Gauss-Jacobi head panel carries the
+weight w^p exactly, the panels after it double in width until they reach
+the caller's maximum width (at most pi/t for an integrand oscillating as
+sin/cos(w t)), and Gauss-Legendre panels of at most that width cover the
+rest.  A layout holds the nodes of an n- and a 2n-point rule on every
+panel and their weights, w^p included, and depends on no integrand, so a
+caller can keep it for every integral over the same panels.  g is
+evaluated once per integral, as one numpy array over the layout's nodes;
+the sum of the per-panel differences of the two rules, plus a roundoff
+floor, is the error estimate.  When that estimate misses max(abs_tol,
+rel_tol * |value|), the values are not finite, or there is no layout
+because the panels would outnumber ``max_subdivisions``, the caller's
+fallback computes the integral instead.
 
 :func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
 bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
@@ -166,7 +170,7 @@ def integrate_oscillatory(
 
 
 # Nodes per panel of the lower rule of the panel pair; the upper has twice
-# as many.  On the panels integrate_panels lays out the lower rule is
+# as many.  On the panels panel_layout lays out the lower rule is
 # already near roundoff, so the pair's difference bounds the upper's error
 # with a wide margin.
 PANEL_NODES = 12
@@ -190,12 +194,12 @@ def _gauss_rule(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class PanelRule:
     """Gauss-Jacobi (weight u^power) and Gauss-Legendre nodes and weights
-    on (0, 1): everything :func:`integrate_panels` needs that does not
+    on (0, 1): everything :func:`panel_layout` needs that does not
     depend on the panels.  Each is the PANEL_NODES-point rule followed by
     the rule with twice as many nodes.
 
     Building one costs four small eigenproblems, so callers build it once
-    per power law and pass it to every integral."""
+    per power law and pass it to every layout."""
 
     power: float
     jacobi: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
@@ -227,35 +231,34 @@ def _panel_edges(upper: float, max_width: float, head_width: float,
     return np.concatenate([edges, edges[-1] + step * np.arange(1, n + 1)])
 
 
-def integrate_panels(
-    g: Callable[[np.ndarray], np.ndarray],
-    rule: PanelRule,
-    upper: float,
-    max_width: float,
-    spec: QuadratureSpec | None = None,
-    *,
-    head_width: float = math.inf,
-    fallback: Callable[[], tuple[float, float]],
-) -> tuple[float, float]:
-    """Integrate w^rule.power * g(w) over (0, upper) to (value, error_estimate).
+@dataclass(frozen=True)
+class PanelLayout:
+    """The nodes and weights of :func:`panel_layout` on (0, upper).
 
-    ``g`` maps an array of nodes (all > 0) to an array of values, entry by
-    entry, and must be smooth on [0, upper]: its complex singularities at
-    least ``head_width`` from 0 and, beyond the head panel, further from
-    each panel than the panel's own width.  No panel is wider than
-    ``max_width``.  When the estimate exceeds max(abs_tol, rel_tol *
-    |value|), the values are not finite, or the panels outnumber
-    ``max_subdivisions``, the result of ``fallback()`` is returned instead.
-    """
-    spec = spec or DEFAULT_QUADRATURE
+    Row 0 is the head panel, row k the k-th panel after it; the first
+    PANEL_NODES columns hold the lower rule, the rest the upper.  The
+    weights include the power law w^p, so the integral of w^p g(w) is the
+    sum of ``weights * g(nodes)``."""
+
+    upper: float
+    nodes: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
+
+
+def panel_layout(rule: PanelRule, upper: float, max_width: float, max_panels: int, *,
+                 head_width: float = math.inf) -> PanelLayout | None:
+    """Gauss panels on (0, upper) with ``rule``'s nodes and weights: a head
+    panel no wider than ``head_width`` or ``max_width``, panels that double
+    in width until they reach ``max_width``, then equal panels no wider
+    than it; None when that makes more than ``max_panels`` panels.
+
+    A layout depends on no integrand, so one built once serves every
+    integral over the same panels."""
     if not (upper > 0 and max_width > 0 and head_width > 0):
         raise ValidationError("upper, max_width and head_width must be > 0")
-    edges = _panel_edges(upper, max_width, head_width, spec.max_subdivisions)
+    edges = _panel_edges(upper, max_width, head_width, max_panels)
     if edges is None:
-        return fallback()
-
-    # Row 0 is the head panel, row k the panel (edges[k], edges[k + 1]);
-    # the first PANEL_NODES columns hold the lower rule, the rest the upper.
+        return None
     p = rule.power
     head = edges[1]
     x_jac, w_jac = rule.jacobi
@@ -264,7 +267,31 @@ def integrate_panels(
     tail = edges[1:-1, None] + width * x_leg
     nodes = np.concatenate([head * x_jac[None], tail])
     weights = np.concatenate([head ** (p + 1) * w_jac[None], width * w_leg * tail**p])
-    terms = weights * g(nodes)
+    return PanelLayout(upper, nodes, weights)
+
+
+def integrate_panels(
+    g: Callable[[np.ndarray], np.ndarray],
+    layout: PanelLayout | None,
+    spec: QuadratureSpec | None = None,
+    *,
+    fallback: Callable[[], tuple[float, float]],
+) -> tuple[float, float]:
+    """Integrate w^p * g(w) over the layout's (0, upper) to (value,
+    error_estimate), for the power p of the rule it was built with.
+
+    ``g`` maps the array of nodes (all > 0) to an array of values, entry
+    by entry, and must be smooth on [0, upper]: its complex singularities
+    at least the head width from 0 and, beyond the head panel, further
+    from each panel than the panel's own width.  When the layout is None
+    (too many panels), the estimate exceeds max(abs_tol, rel_tol *
+    |value|), or the values are not finite, the result of ``fallback()``
+    is returned instead.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    if layout is None:
+        return fallback()
+    terms = layout.weights * g(layout.nodes)
     lo = terms[:, :PANEL_NODES].sum(axis=1)
     hi = terms[:, PANEL_NODES:].sum(axis=1)
     value = float(hi.sum())

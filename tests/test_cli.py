@@ -23,7 +23,7 @@ from decohere.cli import (
     run_scenario,
     validate_scenario,
 )
-from decohere.dephasing import SpectralDensity
+from decohere.dephasing import DephasingModel, SpectralDensity
 from decohere.errors import NegativeRateWarning, ParseError, ValidationError
 
 
@@ -42,6 +42,13 @@ def dephasing_scenario(tmp_path, **overrides):
         },
     }
     raw.update(overrides)
+    return raw
+
+
+def peak_scenario(tmp_path):
+    """The dephasing scenario with a spectral density peaked at 400 omega_c."""
+    raw = dephasing_scenario(tmp_path)
+    raw["parameters"]["spectral"]["s"] = 400.0
     return raw
 
 
@@ -161,6 +168,10 @@ INVALID_DOCUMENTS = [
      "initial_population_upper must be <= 1.0"),
     (dephasing_scenario, ("parameters", "bath", "beta"), -2, "bath.beta must be > 0.0"),
     (dephasing_scenario, ("time", "n_points"), 1, "time.n_points must be >= 2"),
+    (peak_scenario, ("parameters", "spectral", "omega_c"), 1e3,
+     "spectral prefactor coupling * omega_c^(1 - s) underflows to 0"),
+    (peak_scenario, ("parameters", "spectral", "coupling"), 2.0,
+     "spectral weight coupling * omega_c^2 * Gamma(s + 1) overflows"),
     (collisional_scenario, ("parameters", "n_q"), 1, "n_q must be >= 2"),
     (collisional_scenario, ("parameters", "grid"), [1.0, 0.0],
      "grid must be strictly ascending"),
@@ -332,6 +343,24 @@ def test_run_dephasing_builds_its_generators_once(tmp_path, monkeypatch):
     assert counts == [2, 2]
 
 
+@pytest.mark.parametrize("beta", ["inf", 2.0])
+def test_run_dephasing_builds_each_panel_layout_once(tmp_path, monkeypatch, beta):
+    # panels of width wc / 2^k for k = 0 .. ceil(log2(wc t_max / pi)): one
+    # layout, and one panel weight at its nodes, per weight kind and k
+    builds = {True: 0, False: 0}
+    panel_weight = DephasingModel._panel_weight
+    monkeypatch.setattr(DephasingModel, "_panel_weight", lambda model, w, thermal: (
+        builds.__setitem__(thermal, builds[thermal] + 1) or panel_weight(model, w, thermal)))
+    wc, t_max = 1.3, 9.0
+    raw = dephasing_scenario(tmp_path, time={"t_max": t_max, "n_points": 31})
+    raw["parameters"]["spectral"]["omega_c"] = wc
+    raw["parameters"]["bath"]["beta"] = beta
+    report = run_scenario(validate_scenario(raw))[2]
+    assert report.passed
+    bound = 1 + math.ceil(math.log2(wc * t_max / math.pi))
+    assert 1 <= builds[True] <= bound and builds[False] <= bound, (builds, bound)
+
+
 @pytest.mark.parametrize("factory, model_class", [
     (gksl_scenario, decohere.gksl.GkslGenerator),
     (dephasing_scenario, SpectralDensity),
@@ -480,6 +509,30 @@ def test_cli_spectral_overflow_exits_2_on_every_command(tmp_path, capsys):
                  ["sweep", str(p), "--param", "spectral.s", "--values", "1,2"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {OVERFLOW_MESSAGE}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
+
+
+SHIPPED_SPECTRAL_PEAK = SHIPPED_INVALID_KOSSAKOWSKI.with_name("invalid_spectral_peak.json")
+UNDERFLOW_MESSAGE = "spectral prefactor coupling * omega_c^(1 - s) underflows to 0"
+WEIGHT_MESSAGE = "spectral weight coupling * omega_c^2 * Gamma(s + 1) overflows"
+
+
+@pytest.mark.parametrize("omega_c, message", [(1e3, UNDERFLOW_MESSAGE), (1.0, WEIGHT_MESSAGE)],
+                         ids=["underflow", "weight"])
+def test_cli_spectral_peak_exits_2_on_every_command(tmp_path, capsys, omega_c, message):
+    # s = 400: omega_c^(1 - s) = 1e-1197 is 0 at omega_c = 1e3, and the
+    # weight Gamma(401) = 1e868 is no float; before they were rejected, the
+    # panel rule overflowed and the fallback failed with exit 1
+    raw = json.loads(SHIPPED_SPECTRAL_PEAK.read_text())
+    raw["parameters"]["spectral"]["omega_c"] = omega_c
+    raw["output"] = dephasing_scenario(tmp_path)["output"]
+    p = write_scenario(tmp_path, raw)
+    for argv in (["run", str(p)], ["check-cp", str(p)],
+                 ["sweep", str(p), "--param", "spectral.s", "--values", "1,400"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 

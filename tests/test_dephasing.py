@@ -24,8 +24,9 @@ from decohere.errors import (
     NegativeRateWarning,
     ValidationError,
 )
+from decohere.dephasing import _KERNELS
 from decohere.gksl import _entrywise_kernel
-from decohere.numcore import QuadratureSpec
+from decohere.numcore import QuadratureSpec, integrate_panels, panel_layout
 
 PLUS = DensityMatrix.pure([1.0, 1.0])
 
@@ -437,8 +438,8 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
                            **({} if quad is None else {"quadrature": quad}))
     uppers = []
 
-    def panels(g, rule, upper, max_width, spec=None, *, head_width, fallback):
-        uppers.append(("panels", upper))
+    def panels(g, layout, spec=None, *, fallback):
+        uppers.append(("panels", layout.upper))
         return fallback()
 
     def oscillatory(envelope, kind, t, upper, spec=None, *, head, breakpoints=()):
@@ -454,14 +455,98 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
     assert uppers == [(route, upper) for _ in range(4) for route in ("panels", "fallback")]
 
 
+
+def _by_width(model, kind, t, width):
+    """The panel rule for the integral ``kind`` at t on panels no wider than
+    ``width``, laid out for this call alone: (value, integral of |w^p g|),
+    or None where the rule would fall back."""
+    thermal, kernel, _ = _KERNELS[kind]
+    spec, wc = model.quadrature, model.spectral.omega_c
+    pole_scale = math.inf if model.bath.zero_temperature else 2 * math.pi / model.bath.beta
+    layout = panel_layout(model._panel_rule, spec.tail_cutoff_multiplier * wc, width,
+                          spec.max_subdivisions, head_width=pole_scale)
+    terms = []
+
+    def g(w):
+        values = kernel(model._panel_weight(w, thermal), w, t)
+        terms.append(np.abs(layout.weights * values).sum())
+        return values
+
+    value, _ = integrate_panels(g, layout, spec, fallback=lambda: (None, None))
+    return None if value is None else (value, float(terms[0]))
+
+
+@pytest.mark.parametrize("beta", [math.inf, 0.7, 20.0])
+@pytest.mark.parametrize("s, wc", [(0.3, 1.0), (1.0, 5.0), (3.5, 0.4)])
+def test_cached_layouts_keep_the_per_call_values_up_to_pi_over_wc(s, wc, beta):
+    # for t <= pi/wc the cached layout is the per-call one (width wc), so
+    # every value is the same float
+    model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(beta))
+    times = [*np.geomspace(1e-3, math.pi / wc, 12), math.pi / wc]
+    for kind in _KERNELS:
+        for t in ([0.0] if "alpha" in kind else []) + times:
+            want = _by_width(model, kind, t, min(math.pi / t, wc) if t > 0 else wc)
+            assert want is not None and model._spectral_integral(kind, t) == want[0], (kind, t)
+
+
+def test_quantized_layouts_match_the_exact_width():
+    # Draws over the ranges of the fallback parity sample, at t > pi/wc.
+    # Layouts of width wc / 2^k and min(pi/t, wc) sum different nodes, so
+    # their values differ by roundoff, which scales with the integral of
+    # |w^p g| (up to 1e4 here) rather than with the value.
+    rng = np.random.default_rng(7)
+    compared = total = 0
+    while total < 400:
+        lam, s, wc = rng.uniform(0.01, 3.0), rng.uniform(0.05, 4.0), rng.uniform(0.2, 10.0)
+        beta = math.inf if rng.random() < 0.25 else math.exp(rng.uniform(-3.5, 4.6))
+        t = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+        if t <= math.pi / wc:
+            continue
+        model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
+        for kind in _KERNELS:
+            total += 1
+            exact = _by_width(model, kind, t, math.pi / t)
+            if exact is None:
+                continue
+            compared += 1
+            got, (want, scale) = model._spectral_integral(kind, t), exact
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want), scale), (kind, lam, s, wc,
+                                                                          beta, t)
+    assert compared >= total // 2
+
+
+def test_zero_temperature_sweep_falls_back_no_more_than_per_call_layouts(monkeypatch):
+    # 40 of these 1000 integrals fall back with a layout per call (wc = 5,
+    # t >= 35, where 40 wc t / pi exceeds the 2048-panel budget)
+    fallbacks = []
+    oscillatory = decohere.dephasing.integrate_oscillatory
+
+    def counted(*args, **kwargs):
+        fallbacks.append(True)
+        return oscillatory(*args, **kwargs)
+
+    monkeypatch.setattr(decohere.dephasing, "integrate_oscillatory", counted)
+    for s in (0.3, 0.5, 1.0, 2.0, 3.5):
+        for wc in (1.0, 5.0):
+            model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(math.inf))
+            for t in np.geomspace(0.01, 50.0, 25):
+                for kind in _KERNELS:
+                    model._spectral_integral(kind, float(t))
+    assert len(fallbacks) <= 40
+
 def test_spectral_prefactor_overflow_is_rejected():
     # wc^(1 - s) = 1e1197 overflows a float; at coupling 1e300 the product does
     with pytest.raises(ValidationError, match="prefactor"):
         SpectralDensity(1.0, 400.0, 1e-3)
     with pytest.raises(ValidationError, match="prefactor"):
         SpectralDensity(1e300, 3.0, 1e-5)
-    # an underflowing prefactor is a valid, negligible bath
-    assert SpectralDensity(1.0, 400.0, 1e3)(1.0) == 0.0
+    # a prefactor that underflows to 0, or a total weight
+    # coupling * wc^2 * Gamma(s + 1) that overflows, cannot be integrated
+    with pytest.raises(ValidationError, match="underflows to 0"):
+        SpectralDensity(1.0, 400.0, 1e3)
+    with pytest.raises(ValidationError, match="spectral weight"):
+        SpectralDensity(1.0, 400.0, 1.0)
+    assert SpectralDensity(0.0, 400.0, 1e3)(1.0) == 0.0
 
 
 def test_cross_check_integrates_only_re_alpha(monkeypatch):

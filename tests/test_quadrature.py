@@ -14,6 +14,7 @@ from decohere.numcore import (
     integrate_adaptive,
     integrate_oscillatory,
     integrate_panels,
+    panel_layout,
 )
 from decohere.numcore.quadrature import PANEL_NODES, _panel_edges
 
@@ -165,11 +166,11 @@ def test_integrate_panels_against_closed_forms(power, t):
     # integral of w^p e^(-w) e^(i t w) = Gamma(p + 1) (1 - i t)^(-(p + 1))
     rule = PanelRule(power)
     exact = math.gamma(power + 1) * (1.0 - 1j * t) ** -(power + 1)
-    max_width = min(math.pi / t, 1.0)
-    v_sin, err = integrate_panels(lambda w: np.exp(-w) * np.sin(t * w), rule, 40.0,
-                                  max_width, fallback=_no_fallback)
-    v_cos, _ = integrate_panels(lambda w: np.exp(-w) * np.cos(t * w), rule, 40.0,
-                                max_width, fallback=_no_fallback)
+    layout = panel_layout(rule, 40.0, min(math.pi / t, 1.0), 2048)
+    v_sin, err = integrate_panels(lambda w: np.exp(-w) * np.sin(t * w), layout,
+                                  fallback=_no_fallback)
+    v_cos, _ = integrate_panels(lambda w: np.exp(-w) * np.cos(t * w), layout,
+                                fallback=_no_fallback)
     assert abs(v_sin - exact.imag) < 1e-12
     assert abs(v_cos - exact.real) < 1e-12
     assert err < 1e-10
@@ -177,24 +178,26 @@ def test_integrate_panels_against_closed_forms(power, t):
 
 def test_integrate_panels_falls_back():
     rule = PanelRule(0.5)
+    layout = panel_layout(rule, 40.0, 1.0, 2048)
     sentinel = (123.0, 0.0)
     smooth = lambda w: 50.0 * np.exp(-w)  # noqa: E731
-    assert integrate_panels(smooth, rule, 40.0, 1.0, fallback=_no_fallback)[0] == (
+    assert integrate_panels(smooth, layout, fallback=_no_fallback)[0] == (
         pytest.approx(50.0 * math.gamma(1.5), rel=1e-13))
     # tolerance below the rule's roundoff floor
     tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
     fallback = lambda: sentinel  # noqa: E731
-    assert integrate_panels(smooth, rule, 40.0, 1.0, tight, fallback=fallback) == sentinel
-    # more panels than the subdivision budget
+    assert integrate_panels(smooth, layout, tight, fallback=fallback) == sentinel
+    # more panels than the subdivision budget: no layout
     few = QuadratureSpec(max_subdivisions=8)
-    assert integrate_panels(smooth, rule, 40.0, 1.0, few, fallback=fallback) == sentinel
+    assert panel_layout(rule, 40.0, 1.0, few.max_subdivisions) is None
+    assert integrate_panels(smooth, None, few, fallback=fallback) == sentinel
     # non-finite integrand values
     nan = lambda w: np.where(w > 3.0, np.nan, 1.0)  # noqa: E731
-    assert integrate_panels(nan, rule, 40.0, 1.0, fallback=fallback) == sentinel
+    assert integrate_panels(nan, layout, fallback=fallback) == sentinel
 
 
 def test_integrate_panels_validates_its_ranges():
     with pytest.raises(ValidationError):
-        integrate_panels(np.exp, PanelRule(0.0), 0.0, 1.0, fallback=_no_fallback)
+        panel_layout(PanelRule(0.0), 0.0, 1.0, 2048)
     with pytest.raises(ValidationError):
-        integrate_panels(np.exp, PanelRule(0.0), 1.0, 0.0, fallback=_no_fallback)
+        panel_layout(PanelRule(0.0), 1.0, 0.0, 2048)
