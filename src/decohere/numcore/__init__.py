@@ -17,7 +17,6 @@ from .linalg import (
 from .ode import DEFAULT_ODE, OdeSpec, ode_solve
 from .quadrature import (
     DEFAULT_QUADRATURE,
-    PanelLayout,
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_ODE",
     "DEFAULT_QUADRATURE",
     "OdeSpec",
-    "PanelLayout",
     "PanelRule",
     "QuadratureSpec",
     "as_square_complex",

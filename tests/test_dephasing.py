@@ -19,12 +19,12 @@ from decohere import (
     choi_of_propagator,
     integrate_time_dependent,
 )
+from decohere.dephasing import _KERNELS
 from decohere.errors import (
     NegativeFrequencyError,
     NegativeRateWarning,
     ValidationError,
 )
-from decohere.dephasing import _KERNELS
 from decohere.gksl import _entrywise_kernel
 from decohere.numcore import QuadratureSpec, integrate_panels, panel_layout
 
@@ -455,7 +455,6 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
     assert uppers == [(route, upper) for _ in range(4) for route in ("panels", "fallback")]
 
 
-
 def _by_width(model, kind, t, width):
     """The panel rule for the integral ``kind`` at t on panels no wider than
     ``width``, laid out for this call alone: (value, integral of |w^p g|),
@@ -533,6 +532,7 @@ def test_zero_temperature_sweep_falls_back_no_more_than_per_call_layouts(monkeyp
                 for kind in _KERNELS:
                     model._spectral_integral(kind, float(t))
     assert len(fallbacks) <= 40
+
 
 def test_spectral_prefactor_overflow_is_rejected():
     # wc^(1 - s) = 1e1197 overflows a float; at coupling 1e300 the product does
