@@ -16,8 +16,9 @@ Each model family is one ``_Family`` record in ``_FAMILIES`` (schema, built
 model, initial state, CSV columns, ``run``, check-cp ``channel``), walked
 without branching on the model.  ``validate_scenario`` builds the model (the
 dephasing model owns its quadrature spec) and the initial state once, so
-every command rejects the same documents; ``sweep`` validates every value
-before it runs any.  CSV output uses 17 significant digits (round-trip exact
+every command rejects the same documents; ``check-cp`` rejects a family
+without a ``channel`` before its model is built, and ``sweep`` validates
+every value before it runs any.  CSV output uses 17 significant digits (round-trip exact
 for doubles) and LF line endings, so identical scenarios produce
 byte-identical files.  check-cp writes its report to the scenario's
 ``report_path``, replacing a run's.  A NaN drift, residual or Choi
@@ -353,7 +354,10 @@ def parse_scenario(text) -> Scenario:
     return validate_scenario(_load_json(text))
 
 
-def validate_scenario(raw) -> Scenario:
+def validate_scenario(raw, *, for_check_cp: bool = False) -> Scenario:
+    """Validate a scenario document and build its model.  With
+    ``for_check_cp``, a family without a check-cp channel is rejected once
+    its parameters have parsed, before its model is built."""
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a JSON object")
     keys = ("model", "parameters", "time", "output")
@@ -362,6 +366,8 @@ def validate_scenario(raw) -> Scenario:
     family = _FAMILIES[model]
     parameters = family.schema(raw["parameters"], "parameters")
     numerics = _NUMERICS(raw.get("numerics", {}), "numerics")
+    if for_check_cp:
+        _channel(model)
     system = family.system(parameters, numerics["quadrature"])
     try:
         rho0 = family.rho0(parameters)
@@ -544,12 +550,17 @@ def run_scenario(s: Scenario):
     return ["t", *family.columns, "trace_drift"], rows, report.finalize()
 
 
-def check_cp(s: Scenario, t_list) -> InvariantReport:
-    """Certify complete positivity of the propagated map at each time."""
-    channel = _FAMILIES[s.model].channel
+def _channel(model: str) -> Callable:
+    """The family's check-cp channel; a family without one is a usage error."""
+    channel = _FAMILIES[model].channel
     if channel is None:
         raise ValidationError("check-cp supports gksl and dephasing scenarios only")
-    propagator = channel(s.system)
+    return channel
+
+
+def check_cp(s: Scenario, t_list) -> InvariantReport:
+    """Certify complete positivity of the propagated map at each time."""
+    propagator = _channel(s.model)(s.system)
     report = InvariantReport(seed=_read_seed(), choi_eigenvalue_by_time={})
     negativity = -math.inf  # largest -(min Choi eigenvalue) over the times
     for t in t_list:
@@ -657,7 +668,7 @@ def _parse_times(raw: str):
 
 
 def _cmd_check_cp(args) -> int:
-    scenario = parse_scenario(_read(args.scenario))
+    scenario = validate_scenario(_load_json(_read(args.scenario)), for_check_cp=True)
     times = _parse_times(args.times)
     report = check_cp(scenario, times)
     write_report(scenario.report_path, report)

@@ -537,16 +537,20 @@ def test_cli_spectral_peak_exits_2_on_every_command(tmp_path, capsys, omega_c, m
 
 
 NODES_MESSAGE = "gaussian law needs n_q >= 16 quadrature nodes, got 8"
+FAMILY_MESSAGE = "check-cp supports gksl and dephasing scenarios only"
 
 
 def test_cli_too_few_law_nodes_exit_2_at_parse_time(tmp_path, capsys):
     raw = collisional_scenario(tmp_path)
     raw["parameters"]["n_q"] = 8
     p = write_scenario(tmp_path, raw)
-    for argv in (["run", str(p)], ["check-cp", str(p)],
-                 ["sweep", str(p), "--param", "rate", "--values", "1,2"]):
+    # check-cp rejects the collisional family before its law's nodes are built
+    for argv, message in ((["run", str(p)], NODES_MESSAGE),
+                          (["check-cp", str(p)], FAMILY_MESSAGE),
+                          (["sweep", str(p), "--param", "rate", "--values", "1,2"],
+                           NODES_MESSAGE)):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {NODES_MESSAGE}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
@@ -706,6 +710,17 @@ def test_check_cp_rejects_collisional(tmp_path):
     s = validate_scenario(collisional_scenario(tmp_path))
     with pytest.raises(ValidationError):
         check_cp(s, [1.0])
+
+
+def test_cli_check_cp_rejects_collisional_before_building_it(tmp_path, monkeypatch, capsys):
+    # the kick operators and the dense generator are never used by check-cp
+    builds = _count_calls(monkeypatch, cli.col, "build_discretized_generator")
+    p = write_scenario(tmp_path, collisional_scenario(tmp_path))
+    assert main(["check-cp", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {FAMILY_MESSAGE}\n"
+    assert builds == []
+    assert main(["run", str(p)]) == 0
+    assert len(builds) == 1
 
 
 def test_cli_check_cp_command(tmp_path):

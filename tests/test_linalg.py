@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import decohere.numcore.linalg
 from decohere.errors import (
     DimensionMismatchError,
     MatrixOverflowError,
     NotHermitianError,
+    NumericsError,
     ValidationError,
 )
+from decohere.gksl import GkslGenerator, to_superoperator, vec
 from decohere.numcore import (
     as_square_complex,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     matrix_exp,
 )
+
+from helpers import random_generator
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -110,3 +116,88 @@ def test_matrix_exp_block_diagonal():
 def test_matrix_exp_overflow_guard():
     with pytest.raises(MatrixOverflowError):
         matrix_exp(np.diag([800.0, 0.0]))
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179, Table 2.3: the largest
+# 1-norm at which the degree-m Pade approximant is used unscaled
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+              9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def _expm_error(a) -> float:
+    """Largest deviation from scipy.linalg.expm, relative to max(1, max|e|)."""
+    e = scipy.linalg.expm(a)
+    return float(np.abs(matrix_exp(a) - e).max() / max(1.0, np.abs(e).max()))
+
+
+def _gksl_draws():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4, 6, 12):
+        for _ in range(2):
+            yield d, to_superoperator(random_generator(rng, d, min(d, 3))).matrix
+
+
+GKSL_TIMES = (1e-3, 0.1, 1.0, 10.0, 60.0)
+
+
+def test_matrix_exp_matches_scipy_on_gksl_superoperators():
+    for d, superop in _gksl_draws():
+        for t in GKSL_TIMES:
+            assert _expm_error(t * superop) <= 1e-11, (d, t)
+
+
+def test_matrix_exp_preserves_trace_of_gksl_semigroups():
+    for d, superop in _gksl_draws():
+        ident = vec(np.eye(d, dtype=complex)).conj()
+        for t in GKSL_TIMES:
+            assert np.abs(ident @ matrix_exp(t * superop) - ident).max() <= 1e-12, (d, t)
+
+
+@pytest.mark.parametrize("degree, factor", [
+    (3, 1 - 1e-9), (5, 1 - 1e-9), (7, 1 - 1e-9), (9, 1 - 1e-9), (13, 1 - 1e-9), (13, 1 + 1e-9),
+])
+def test_matrix_exp_at_each_pade_threshold(degree, factor):
+    # just below theta_m the degree-m approximant runs unscaled; just above
+    # theta_13 one squaring starts
+    rng = np.random.default_rng(degree)
+    superop = to_superoperator(random_generator(rng, 3, 2)).matrix
+    ginibre = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    for m in (superop, ginibre):
+        a = m * (factor * PADE_THETA[degree] / np.abs(m).sum(axis=0).max())
+        assert _expm_error(a) <= 1e-14
+
+
+def _damped_qubit_channel(rate: float, omega: float, t: float) -> np.ndarray:
+    """exp(t L) for H = diag(omega, -omega) and amplitude damping |1> -> |0>
+    at ``rate``, acting on vec(rho) = (rho00, rho10, rho01, rho11)."""
+    decay = math.exp(-rate * t)
+    coherence = math.exp(-rate * t / 2)
+    return np.array([
+        [1.0, 0.0, 0.0, 1.0 - decay],
+        [0.0, coherence * np.exp(2j * omega * t), 0.0, 0.0],
+        [0.0, 0.0, coherence * np.exp(-2j * omega * t), 0.0],
+        [0.0, 0.0, 0.0, decay],
+    ])
+
+
+def test_matrix_exp_strongly_damped_qubit_closed_form():
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    superop = to_superoperator(GkslGenerator(np.diag([0.7, -0.7]), (lower,), [[50.0]])).matrix
+    assert np.abs(10.0 * superop).sum(axis=0).max() > 700.0
+    for t in (0.01, 0.1, 10.0):
+        out = matrix_exp(t * superop)
+        assert np.abs(out - _damped_qubit_channel(50.0, 0.7, t)).max() <= 1e-12, t
+
+
+def test_matrix_exp_overflowing_norm():
+    with pytest.raises(MatrixOverflowError):
+        matrix_exp(np.full((2, 2), 1e308))
+
+
+def test_matrix_exp_singular_pade_denominator_is_a_numerics_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(decohere.numcore.linalg.np.linalg, "solve", singular)
+    with pytest.raises(NumericsError, match="singular Pade denominator"):
+        matrix_exp(np.eye(2))
