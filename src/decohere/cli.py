@@ -18,9 +18,9 @@ without branching on the model.  ``validate_scenario`` builds the model (the
 dephasing model owns its quadrature spec) and the initial state once, so
 every command rejects the same documents; ``check-cp`` rejects a family
 without a ``channel`` before its model is built, and ``sweep`` validates
-every value before it runs any.  CSV output uses 17 significant digits (round-trip exact
-for doubles) and LF line endings, so identical scenarios produce
-byte-identical files.  check-cp writes its report to the scenario's
+every value before it runs any.  CSV output uses 17 significant digits
+(round-trip exact for doubles) and LF line endings, so identical scenarios
+produce byte-identical files.  check-cp writes its report to the scenario's
 ``report_path``, replacing a run's.  A NaN drift, residual or Choi
 eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation (an ODE
 state past the drift bound too), 2 usage/parse/validation error (an invalid

@@ -53,7 +53,8 @@ class NoConvergenceError(NumericsError):
 
 
 class MatrixOverflowError(NumericsError):
-    """Matrix exponential result is not finite (overflows double precision)."""
+    """Matrix exponential result, or its input's 1-norm, is not finite
+    (overflows double precision)."""
 
 
 class QuadratureError(NumericsError):

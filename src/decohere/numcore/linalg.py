@@ -131,11 +131,11 @@ def matrix_exp(m) -> np.ndarray:
     For an input A, the smallest degree in {3, 5, 7, 9} with
     ``||A||_1 <= theta_m`` is used unscaled; otherwise degree 13 on
     ``A / 2^s`` with ``s = max(0, ceil(log2(||A||_1 / theta_13)))``, and the
-    result is squared s times.  The
-    work is ``@`` and one ``numpy.linalg.solve``, so it runs in numpy's BLAS
-    thread pool alone; ``scipy.linalg.expm`` mixes scipy's OpenBLAS (Pade
-    step) with numpy's (squarings), and on a small machine the threads of
-    one pool spin while the other works.
+    result is squared s times.  The work is ``@`` and one
+    ``numpy.linalg.solve``, so it runs in numpy's BLAS thread pool alone;
+    ``scipy.linalg.expm`` mixes scipy's OpenBLAS (Pade step) with numpy's
+    (squarings), and on a small machine the threads of one pool spin while
+    the other works.
 
     Raises MatrixOverflowError when the result (or the 1-norm) is not
     finite, and NumericsError when the Pade denominator is singular.  A
