@@ -52,7 +52,6 @@ from .gksl import (
     semigroup_propagator,
     semigroup_trajectory,
     to_superoperator,
-    trace_defect,
     unvec,
     vec,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "semigroup_propagator",
     "semigroup_trajectory",
     "to_superoperator",
-    "trace_defect",
     "unvec",
     "vec",
 ]

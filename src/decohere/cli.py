@@ -12,19 +12,22 @@ schema is one table of ``key: (parser, default)`` entries walked by
 ``_obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
 ``OdeSpec``, and ``sweep`` patches the document as read.
 
+This module holds the schema, the report, the writers and the commands.
 Each model family is one ``_Family`` record in ``_FAMILIES`` (schema, built
 model, initial state, CSV columns, ``run``, check-cp ``channel``), walked
-without branching on the model.  ``validate_scenario`` builds the model (the
-dephasing model owns its quadrature spec) and the initial state once, so
-every command rejects the same documents; ``check-cp`` rejects a family
-without a ``channel`` before its model is built, and ``sweep`` validates
-every value before it runs any.  CSV output uses 17 significant digits
-(round-trip exact for doubles) and LF line endings, so identical scenarios
-produce byte-identical files.  check-cp writes its report to the scenario's
-``report_path``, replacing a run's.  A NaN drift, residual or Choi
-eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation (an ODE
-state past the drift bound too), 2 usage/parse/validation error (an invalid
-initial state or too few law nodes too) or an unwritable output path.
+without branching on the model.  The columns and the ``run`` generator (row
+values and cross-check residuals) live in the family's own module:
+``dephasing``, ``collisional`` or ``gksl``.  ``validate_scenario`` builds the
+model (the dephasing model owns its quadrature spec) and the initial state
+once, so every command rejects the same documents; ``check-cp`` rejects a
+family without a ``channel`` before its model is built, and ``sweep``
+validates every value before it runs any.  CSV output uses 17 significant
+digits (round-trip exact for doubles) and LF line endings, so identical
+scenarios produce byte-identical files.  check-cp writes its report to the
+scenario's ``report_path``, replacing a run's.  A NaN drift, residual or
+Choi eigenvalue is a violation.  Exit codes: 0 ok, 1 invariant violation (an
+ODE state past the drift bound too), 2 usage/parse/validation error (an
+invalid initial state or too few law nodes too) or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -44,19 +47,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import collisional as col
+from . import collisional as col, dephasing, gksl
 from .dephasing import BathSpec, DephasingModel, SpectralDensity
-from .errors import DecohereError, NegativeRateWarning, ParseError, ValidationError
+from .errors import DecohereError, ParseError, ValidationError
 from .gksl import (
     DRIFT_ERROR_THRESHOLD,
     DensityMatrix,
     GkslGenerator,
     choi_of_propagator,
-    integrate_constant,
-    integrate_time_dependent,
     is_completely_positive,
     semigroup_channel,
-    semigroup_trajectory,
     vec,
 )
 from .numcore import OdeSpec, QuadratureSpec, hermiticity_defect
@@ -93,9 +93,6 @@ class Scenario:
     ode: OdeSpec | None
     csv_path: str
     report_path: str
-
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_points)
 
 
 @dataclass
@@ -410,68 +407,6 @@ def _dephasing_rho0(p) -> DensityMatrix:
     return DensityMatrix(np.array([[pop, coh], [coh.conjugate(), 1.0 - pop]], dtype=complex))
 
 
-def _run_dephasing(s: Scenario, t_grid):
-    model, rho0 = s.system, s.rho0
-
-    # the Runge-Kutta stages with a negative rate, reported as one warning
-    negative_at = []
-
-    def rate(t):
-        gamma = model.dephasing_rate(t)
-        if gamma < 0:
-            negative_at.append(t)
-        return gamma
-
-    trajectory = integrate_time_dependent(*model.generator_parts, rate, rho0, t_grid, s.ode)
-    if negative_at:
-        warnings.warn(
-            f"dephasing rate was negative at {len(negative_at)} Runge-Kutta "
-            f"stages, first at t = {min(negative_at)}: the generator is "
-            "not GKSL there",
-            NegativeRateWarning,
-        )
-
-    for i, (t, state) in enumerate(zip(t_grid, trajectory)):
-        t, m = float(t), state.matrix
-        gamma = model.dephasing_rate(t)
-        big_gamma = model.decoherence_function(t)
-        coh = model._coherence_from(rho0, t, big_gamma)
-        residuals = {
-            "coherence_abs_analytic_vs_ode": abs(abs(coh) - abs(m[0, 1])),
-            "coherence_complex_analytic_vs_ode": abs(coh - m[0, 1]),
-            "population_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
-        }
-        if i == len(t_grid) - 1:  # the two routes to gamma and Gamma, once
-            residuals["gamma_two_forms"] = abs(
-                gamma - model.dephasing_rate_from_correlation(t))
-            residuals["decoherence_function_two_forms"] = abs(
-                big_gamma - model.decoherence_function_from_rate(t))
-        yield m, (gamma, big_gamma, coh.real, coh.imag, abs(coh), abs(m[0, 1])), residuals
-
-
-def _run_collisional(s: Scenario, t_grid):
-    (law, gen), rho0 = s.system, s.rho0
-    extreme_dx = float(rho0.grid[-1] - rho0.grid[0])
-    for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, s.ode)):
-        exact, m = col.evolve_exact(rho0, law, float(t)).matrix, state.matrix
-        values = (abs(exact[0, -1]), abs(m[0, -1]),
-                  col.decoherence_factor(law, extreme_dx, float(t)))
-        yield m, values, {
-            "exact_vs_discretized_generator": float(np.abs(m - exact).max()),
-            "diagonal_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
-        }
-
-
-def _run_gksl(s: Scenario, t_grid):
-    gen, rho0 = s.system, s.rho0
-    # the reference route: powers of exp(dt L) on the uniform grid
-    references = semigroup_trajectory(gen, rho0, s.t_max / (s.n_points - 1), s.n_points)
-    for state, reference in zip(integrate_constant(gen, rho0, t_grid, s.ode), references):
-        m = state.matrix
-        values = (complex(np.trace(m)).real, float(np.trace(m @ m).real), abs(m[0, 1]))
-        yield m, values, {"ode_vs_semigroup": float(np.abs(m - reference.matrix).max())}
-
-
 @dataclass(frozen=True)
 class _Family:
     """One model family, as validate_scenario, run_scenario and check_cp see it."""
@@ -479,8 +414,8 @@ class _Family:
     schema: Callable  # (raw parameters, path) -> parameters dict
     system: Callable  # (parameters, quadrature) -> DephasingModel, GkslGenerator or (law, gen)
     rho0: Callable  # parameters dict -> initial state
-    columns: tuple  # CSV columns between "t" and "trace_drift"
-    run: Callable  # (scenario, t_grid) -> per time: state, row values, residuals
+    columns: tuple  # the family module's COLUMNS: CSV columns between "t" and "trace_drift"
+    run: Callable  # the family module's run: per time, state, row values and residuals
     channel: Callable | None  # Scenario.system -> (t -> Superoperator); None: no check-cp
 
 
@@ -502,9 +437,8 @@ _FAMILIES = {
         system=lambda p, quadrature: DephasingModel(
             p["omega0"], SpectralDensity(**p["spectral"]), BathSpec(**p["bath"]), quadrature),
         rho0=_dephasing_rho0,
-        columns=("gamma", "Gamma", "coherence_re", "coherence_im", "coherence_abs",
-                 "coherence_abs_numeric"),
-        run=_run_dephasing,
+        columns=dephasing.COLUMNS,
+        run=dephasing.run,
         channel=lambda model: model.channel,
     ),
     "collisional": _Family(
@@ -517,8 +451,8 @@ _FAMILIES = {
         }, name="parameters"),
         system=_collisional_system,
         rho0=lambda p: col.PositionDensityMatrix.superposition(p["grid"]),
-        columns=("offdiag_abs", "offdiag_abs_numeric", "decoherence_factor"),
-        run=_run_collisional,
+        columns=col.COLUMNS,
+        run=col.run,
         channel=None,
     ),
     "gksl": _Family(
@@ -530,8 +464,8 @@ _FAMILIES = {
         }, name="parameters"),
         system=_gksl_system,
         rho0=lambda p: DensityMatrix(p["rho0"]),
-        columns=("trace_re", "purity", "coherence_abs"),
-        run=_run_gksl,
+        columns=gksl.COLUMNS,
+        run=gksl.run,
         channel=semigroup_channel,
     ),
 }
@@ -541,9 +475,9 @@ def run_scenario(s: Scenario):
     """Execute a scenario; returns (header, rows, InvariantReport)."""
     family = _FAMILIES[s.model]
     report = InvariantReport(seed=_read_seed())
-    t_grid = s.time_grid()
+    t_grid = np.linspace(0.0, s.t_max, s.n_points)
     rows = []
-    for t, (m, values, residuals) in zip(t_grid, family.run(s, t_grid)):
+    for t, (m, values, residuals) in zip(t_grid, family.run(s.system, s.rho0, t_grid, s.ode)):
         rows.append([float(t), *values, report.observe(m)])
         for name, value in residuals.items():
             report.residual(name, value)
@@ -636,7 +570,7 @@ def _read(path) -> bytes:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
 
 
-def _run_and_write(scenario: Scenario, label: str) -> InvariantReport:
+def _execute(scenario: Scenario, label: str) -> InvariantReport:
     """Run a scenario, write its CSV and report, print one status line."""
     header, rows, report = run_scenario(scenario)
     write_csv(scenario.csv_path, header, rows)
@@ -648,7 +582,7 @@ def _run_and_write(scenario: Scenario, label: str) -> InvariantReport:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(_read(args.scenario))
-    report = _run_and_write(scenario, f"{scenario.model}: {scenario.n_points} rows")
+    report = _execute(scenario, f"{scenario.model}: {scenario.n_points} rows")
     return 0 if report.passed else 1
 
 
@@ -720,7 +654,7 @@ def _cmd_sweep(args) -> int:
 
     runs = []
     for text, value, variant in variants:
-        report = _run_and_write(variant, f"{args.param}={text}:")
+        report = _execute(variant, f"{args.param}={text}:")
         runs.append({"value": value, "csv_path": variant.csv_path,
                      "report_path": variant.report_path, "passed": report.passed})
 

@@ -35,7 +35,8 @@ from .errors import (
     ValidationError,
     ZeroMomentumTransferError,
 )
-from .gksl import DensityMatrix, GkslGenerator
+from .gksl import DensityMatrix, GkslGenerator, integrate_constant
+from .numcore import OdeSpec
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,6 @@ class PositionDensityMatrix:
             )
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_sites(self) -> int:
-        return self.grid.size
 
     @property
     def dim(self) -> int:
@@ -256,3 +253,22 @@ def fdt_response(gas: GasSpec, q: float, e: float) -> float:
     if be > 30.0:
         return -math.pi * math.exp(be + log_s)
     return -math.pi * math.expm1(be) * math.exp(log_s)
+
+
+# CSV columns of a collisional run, between "t" and "trace_drift"
+COLUMNS = ("offdiag_abs", "offdiag_abs_numeric", "decoherence_factor")
+
+
+def run(system, rho0: PositionDensityMatrix, t_grid, ode: OdeSpec | None):
+    """Integrate ``system = (law, generator)`` along t_grid; yield per time the state
+    matrix, the :data:`COLUMNS` values and the residuals against the closed form."""
+    law, gen = system
+    extreme_dx = float(rho0.grid[-1] - rho0.grid[0])
+    for t, state in zip(t_grid, integrate_constant(gen, rho0, t_grid, ode)):
+        exact, m = evolve_exact(rho0, law, float(t)).matrix, state.matrix
+        values = (abs(exact[0, -1]), abs(m[0, -1]),
+                  decoherence_factor(law, extreme_dx, float(t)))
+        yield m, values, {
+            "exact_vs_discretized_generator": float(np.abs(m - exact).max()),
+            "diagonal_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
+        }

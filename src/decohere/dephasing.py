@@ -25,7 +25,7 @@ Conventions (pinned here, used consistently everywhere):
 The spectral integrals gamma, Gamma and the real and imaginary parts of
 the bath correlation alpha differ only in their weight, J or J coth, and
 their kernel k(w, t); each is one entry of ``_KERNELS``, which both the
-panel rule and its QUADPACK fallback read.
+panel rule and its QUADPACK fallback read; at zero coupling each is 0.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NegativeFrequencyError, NegativeRateWarning, ValidationError
-from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator, Superoperator
+from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator, Superoperator, integrate_time_dependent
 from .numcore import (
     DEFAULT_QUADRATURE,
+    OdeSpec,
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
@@ -239,6 +240,8 @@ class DephasingModel:
         """The integral ``kind`` of :data:`_KERNELS` at t >= 0, by the panel
         rule, or by one QUADPACK route when the rule's estimate misses
         :attr:`quadrature`."""
+        if self.spectral.coupling == 0:  # J = 0, and so is every integral of it
+            return 0.0
         thermal, kernel, (trig, m) = _KERNELS[kind]
         weight = self._thermal if thermal else self.spectral
         spec = self.quadrature
@@ -298,23 +301,20 @@ class DephasingModel:
 
     # -- exact solution ---------------------------------------------------
 
-    def coherence(self, rho0: DensityMatrix, t: float) -> complex:
+    def coherence(self, rho0: DensityMatrix, t: float, big_gamma: float | None = None) -> complex:
         """Predicted matrix[0, 1] element at time t: the initial coherence
-        damped by exp(-Gamma(t)) and rotated by exp(-2i*omega0*t)."""
+        damped by exp(-Gamma(t)) and rotated by exp(-2i*omega0*t).  A caller
+        that already holds Gamma(t) passes it as ``big_gamma``."""
         if rho0.dim != 2:
             raise ValidationError("dephasing coherence needs a 2x2 state")
         if t < 0:
             raise ValidationError("t must be >= 0")
-        if rho0.matrix[0, 1] == 0:
-            return 0.0j
-        return self._coherence_from(rho0, t, self.decoherence_function(t))
-
-    def _coherence_from(self, rho0: DensityMatrix, t: float, gamma_int: float) -> complex:
-        """:meth:`coherence` given Gamma(t), for callers that already hold it."""
         c0 = complex(rho0.matrix[0, 1])
         if c0 == 0:
             return 0.0j
-        return c0 * math.exp(-gamma_int) * np.exp(-2j * self.omega0 * t)
+        if big_gamma is None:
+            big_gamma = self.decoherence_function(t)
+        return c0 * math.exp(-big_gamma) * np.exp(-2j * self.omega0 * t)
 
     def channel(self, t: float) -> Superoperator:
         """Exact (time-ordered) dephasing channel at time t as a superoperator:
@@ -342,3 +342,47 @@ class DephasingModel:
         fixed, varying = self.generator_parts
         return GkslGenerator(fixed.hamiltonian, varying.lindblad_ops,
                              gamma * varying.kossakowski, validate_psd=gamma >= 0)
+
+
+# CSV columns of a dephasing run, between "t" and "trace_drift"
+COLUMNS = ("gamma", "Gamma", "coherence_re", "coherence_im", "coherence_abs",
+           "coherence_abs_numeric")
+
+
+def run(model: DephasingModel, rho0: DensityMatrix, t_grid, ode: OdeSpec | None):
+    """Integrate the master equation along t_grid; yield per time the state
+    matrix, the :data:`COLUMNS` values and the residuals against the exact solution."""
+    # the Runge-Kutta stages with a negative rate, reported as one warning
+    negative_at = []
+
+    def rate(t):
+        gamma = model.dephasing_rate(t)
+        if gamma < 0:
+            negative_at.append(t)
+        return gamma
+
+    trajectory = integrate_time_dependent(*model.generator_parts, rate, rho0, t_grid, ode)
+    if negative_at:
+        warnings.warn(
+            f"dephasing rate was negative at {len(negative_at)} Runge-Kutta "
+            f"stages, first at t = {min(negative_at)}: the generator is "
+            "not GKSL there",
+            NegativeRateWarning,
+        )
+
+    for i, (t, state) in enumerate(zip(t_grid, trajectory)):
+        t, m = float(t), state.matrix
+        gamma = model.dephasing_rate(t)
+        big_gamma = model.decoherence_function(t)
+        coh = model.coherence(rho0, t, big_gamma)
+        residuals = {
+            "coherence_abs_analytic_vs_ode": abs(abs(coh) - abs(m[0, 1])),
+            "coherence_complex_analytic_vs_ode": abs(coh - m[0, 1]),
+            "population_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
+        }
+        if i == len(t_grid) - 1:  # the two routes to gamma and Gamma, once
+            residuals["gamma_two_forms"] = abs(
+                gamma - model.dephasing_rate_from_correlation(t))
+            residuals["decoherence_function_two_forms"] = abs(
+                big_gamma - model.decoherence_function_from_rate(t))
+        yield m, (gamma, big_gamma, coh.real, coh.imag, abs(coh), abs(m[0, 1])), residuals

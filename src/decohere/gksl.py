@@ -19,7 +19,7 @@ integrate such generators through K instead of building the d^2 x d^2 matrix.
 
 ``semigroup_trajectory`` gives the semigroup states on a uniform grid as
 powers of one step propagator exp(dt L), one ``expm`` for the whole grid;
-the CLI measures the ODE trajectory's ``ode_vs_semigroup`` residual against
+``run`` measures the ODE trajectory's ``ode_vs_semigroup`` residual against
 it.  ``semigroup_channel`` builds L's matrix once and returns t -> exp(t L).
 """
 
@@ -251,14 +251,6 @@ def to_superoperator(gen: GkslGenerator) -> Superoperator:
     return Superoperator(s)
 
 
-def trace_defect(superop: Superoperator) -> float:
-    """How badly the superoperator violates d(tr rho)/dt = 0: the max
-    entry of vec(I)^dag S, which must vanish for trace preservation."""
-    d = superop.dim
-    row = vec(np.eye(d, dtype=complex)).conj() @ superop.matrix
-    return float(np.abs(row).max())
-
-
 def semigroup_channel(gen: GkslGenerator) -> Callable[[float], Superoperator]:
     """t -> exp(t L) as a superoperator matrix, with L's matrix built once."""
     s = to_superoperator(gen).matrix
@@ -437,3 +429,18 @@ def canonical_form(gen: GkslGenerator) -> GkslGenerator:
         np.diag(rates).astype(complex),
         validate_psd=bool(np.all(rates >= 0)),
     )
+
+
+# CSV columns of a gksl run, between "t" and "trace_drift"
+COLUMNS = ("trace_re", "purity", "coherence_abs")
+
+
+def run(gen: GkslGenerator, rho0: DensityMatrix, t_grid, ode: OdeSpec | None):
+    """Integrate the generator along the uniform t_grid; yield per time the state
+    matrix, the :data:`COLUMNS` values and the residual against the semigroup."""
+    # the reference route: powers of exp(dt L) on the uniform grid
+    references = semigroup_trajectory(gen, rho0, t_grid[1] - t_grid[0], len(t_grid))
+    for state, reference in zip(integrate_constant(gen, rho0, t_grid, ode), references):
+        m = state.matrix
+        values = (complex(np.trace(m)).real, float(np.trace(m @ m).real), abs(m[0, 1]))
+        yield m, values, {"ode_vs_semigroup": float(np.abs(m - reference.matrix).max())}

@@ -378,6 +378,20 @@ def test_each_command_builds_its_model_once(tmp_path, monkeypatch, factory, mode
         assert len(built) == 1, argv
 
 
+def test_run_zero_coupling_scenario(tmp_path, monkeypatch):
+    # scenarios/dephasing_zero_coupling.json: s = 400, where the spectral
+    # integrals would overflow, but J = 0 makes every rate 0
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "dephasing_zero_coupling.json"
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(scenario)]) == 0
+    header, rows = read_csv(tmp_path / "out" / "dephasing_zero_coupling.csv")
+    assert len(rows) == 5
+    for name in ("gamma", "Gamma"):
+        assert [row[header.index(name)] for row in rows] == [0.0] * 5
+    report = json.loads((tmp_path / "out" / "dephasing_zero_coupling_report.json").read_text())
+    assert report["passed"] is True
+
+
 def test_run_collisional_oracle(tmp_path):
     s = validate_scenario(collisional_scenario(tmp_path))
     header, rows, report = run_scenario(s)
@@ -789,7 +803,7 @@ def test_nan_survives_the_running_maxima():
 
 def test_cli_run_nan_cross_check_exits_1(tmp_path, monkeypatch):
     nan_state = types.SimpleNamespace(matrix=np.full((2, 2), math.nan))
-    monkeypatch.setattr(cli, "semigroup_trajectory",
+    monkeypatch.setattr(decohere.gksl, "semigroup_trajectory",
                         lambda gen, rho0, dt, n: [nan_state] * n)
     p = write_scenario(tmp_path, gksl_scenario(tmp_path))
     assert main(["run", str(p)]) == 1
@@ -806,7 +820,7 @@ def _strict_loads(text):
 
 def test_cli_run_nan_report_is_strict_json(tmp_path, monkeypatch):
     nan_state = types.SimpleNamespace(matrix=np.full((2, 2), math.nan))
-    monkeypatch.setattr(cli, "semigroup_trajectory",
+    monkeypatch.setattr(decohere.gksl, "semigroup_trajectory",
                         lambda gen, rho0, dt, n: [nan_state] * n)
     p = write_scenario(tmp_path, gksl_scenario(tmp_path))
     assert main(["run", str(p)]) == 1

@@ -247,6 +247,26 @@ def test_coherence_ohmic_value():
     assert abs(abs(c) - 0.5 / math.sqrt(2.0)) < 1e-10
 
 
+@pytest.mark.parametrize("beta", [math.inf, 2.0])
+def test_coherence_given_gamma_is_bit_identical(beta):
+    model = DephasingModel(0.8, SpectralDensity(0.7, 1.5, 2.0), BathSpec(beta))
+    rho0 = DensityMatrix(np.array([[0.3, 0.2 - 0.35j], [0.2 + 0.35j, 0.7]]))
+    for t in (0.0, 0.05, 0.7, 3.0):
+        given = model.coherence(rho0, t, big_gamma=model.decoherence_function(t))
+        computed = model.coherence(rho0, t)
+        assert repr(given) == repr(computed)  # the same bits, signed zeros too
+
+
+def test_zero_coupling_integrals_vanish_at_large_s():
+    # J = 0, so no quadrature runs: w^400 would overflow in it
+    model = ohmic_zero_t(coupling=0.0, s=400.0)
+    for t in (0.0, 1.25, 5.0):
+        assert model.dephasing_rate(t) == 0.0
+        assert model.decoherence_function(t) == 0.0
+        assert model.bath_correlation(t) == 0.0
+    assert model.decoherence_function_from_rate(5.0) == 0.0
+
+
 def test_coherence_never_grows():
     model = DephasingModel(1.0, SpectralDensity(0.5, 1.0, 1.0), BathSpec(2.0))
     magnitudes = [abs(model.coherence(PLUS, t)) for t in (0.0, 0.5, 1.0, 3.0)]
