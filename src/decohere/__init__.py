@@ -25,7 +25,6 @@ from .collisional import (
     build_discretized_generator,
     decoherence_factor,
     detailed_balance_ratio,
-    discretized_characteristic_function,
     evolve_exact,
     fdt_response,
     log_mb_structure_factor,
@@ -60,9 +59,7 @@ from .numcore import (
     QuadratureSpec,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    integrate_adaptive,
     matrix_exp,
-    ode_solve,
 )
 
 __version__ = "0.1.0"
@@ -92,20 +89,17 @@ __all__ = [
     "choi_of_propagator",
     "decoherence_factor",
     "detailed_balance_ratio",
-    "discretized_characteristic_function",
     "errors",
     "evolve_exact",
     "fdt_response",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
-    "integrate_adaptive",
     "integrate_constant",
     "integrate_time_dependent",
     "is_completely_positive",
     "log_mb_structure_factor",
     "matrix_exp",
     "mb_structure_factor",
-    "ode_solve",
     "propagate_semigroup",
     "semigroup_channel",
     "semigroup_propagator",

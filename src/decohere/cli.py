@@ -9,15 +9,17 @@ Subcommands::
 Scenario files are strict JSON (unknown and duplicate keys are rejected)
 with an "inf" sentinel string for infinite inverse temperature.  Each
 schema is one table of ``key: (parser, default)`` entries walked by
-``_obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
+``schema.obj``; the numerics blocks take theirs from ``QuadratureSpec`` and
 ``OdeSpec``, and ``sweep`` patches the document as read.
 
-This module holds the schema, the report, the writers and the commands.
-Each model family is one ``_Family`` record in ``_FAMILIES`` (schema, built
-model, initial state, CSV columns, ``run``, check-cp ``channel``), walked
-without branching on the model.  The columns and the ``run`` generator (row
-values and cross-check residuals) live in the family's own module:
-``dephasing``, ``collisional`` or ``gksl``.  ``validate_scenario`` builds the
+This module holds the document-level tables (time, numerics, output), the
+report, the writers and the commands.  ``_FAMILIES`` maps each model name to
+its module, ``dephasing``, ``collisional`` or ``gksl``, walked without
+branching on the model.  Each module defines ``PARAMETERS`` (its parameters
+table), ``build(parameters, quadrature)`` (the model),
+``initial_state(parameters)``, the CSV ``COLUMNS``, the ``run`` generator
+(row values and cross-check residuals) and the check-cp ``channel`` (None
+when the family has none).  ``validate_scenario`` builds the
 model (the dephasing model owns its quadrature spec) and the initial state
 once, so every command rejects the same documents; ``check-cp`` rejects a
 family without a ``channel`` before its model is built, and ``sweep``
@@ -41,25 +43,17 @@ import re
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import collisional as col, dephasing, gksl
-from .dephasing import BathSpec, DephasingModel, SpectralDensity
 from .errors import DecohereError, ParseError, ValidationError
-from .gksl import (
-    DRIFT_ERROR_THRESHOLD,
-    DensityMatrix,
-    GkslGenerator,
-    choi_of_propagator,
-    is_completely_positive,
-    semigroup_channel,
-    vec,
-)
+from .gksl import DRIFT_ERROR_THRESHOLD, choi_of_propagator, is_completely_positive, vec
 from .numcore import OdeSpec, QuadratureSpec, hermiticity_defect
+from .schema import REQUIRED, check_keys, integer, obj, positive, spec, string
 
 # check-cp passes while the smallest Choi eigenvalue stays above this.
 CP_EIGENVALUE_FLOOR = -1e-8
@@ -86,8 +80,8 @@ class Scenario:
 
     model: str
     parameters: dict
-    system: DephasingModel | GkslGenerator | tuple
-    rho0: DensityMatrix | col.PositionDensityMatrix
+    system: dephasing.DephasingModel | gksl.GkslGenerator | tuple
+    rho0: gksl.DensityMatrix | col.PositionDensityMatrix
     t_max: float
     n_points: int
     ode: OdeSpec | None
@@ -155,178 +149,24 @@ class InvariantReport:
 
 
 # ----------------------------------------------------------------------
-# Schema: field parsers take (value, path) and return the parsed value
+# Document-level schema tables; each family module holds its PARAMETERS
 # ----------------------------------------------------------------------
 
 
-def _check_keys(obj, path, allowed, required):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path} must be an object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        listed = ", ".join(f'"{k}"' for k in unknown)
-        raise ValidationError(f"unknown key {listed} in {path}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ValidationError(f'missing required key "{missing[0]}" in {path}')
-
-
-def _number(value, path, *, minimum=None, exclusive_minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path} must be a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError(f"{path} must be finite")
-    if minimum is not None and v < minimum:
-        raise ValidationError(f"{path} must be >= {minimum}")
-    if exclusive_minimum is not None and v <= exclusive_minimum:
-        raise ValidationError(f"{path} must be > {exclusive_minimum}")
-    if maximum is not None and v > maximum:
-        raise ValidationError(f"{path} must be <= {maximum}")
-    return v
-
-
-def _integer(value, path, *, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path} must be >= {minimum}")
-    return value
-
-
-def _string(value, path, *, choices=None):
-    if not isinstance(value, str):
-        raise ValidationError(f"{path} must be a string")
-    if choices is not None and value not in choices:
-        allowed = ", ".join(f'"{c}"' for c in choices)
-        raise ValidationError(f"{path} must be one of {allowed}")
-    return value
-
-
-def _beta(value, path):
-    """Inverse temperature; the string "inf" encodes beta = +inf."""
-    if value == "inf":
-        return math.inf
-    return _number(value, path, exclusive_minimum=0.0)
-
-
-def _complex_entry(value, path):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
-        raise ValidationError(f"{path} must be a [re, im] pair of numbers")
-    return complex(float(value[0]), float(value[1]))
-
-
-def _complex_matrix(value, path):
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{path} must be a non-empty matrix of [re, im] pairs")
-    n = len(value)
-    m = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValidationError(f"{path}[{i}] must be a row of {n} [re, im] pairs")
-        for j, entry in enumerate(row):
-            m[i, j] = _complex_entry(entry, f"{path}[{i}][{j}]")
-    return m
-
-
-def _complex_matrices(value, path):
-    if not isinstance(value, list):
-        raise ValidationError(f"{path} must be a list of matrices")
-    return tuple(_complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(value))
-
-
-def _kossakowski(value, path):
-    """A complex matrix, or [] for the empty one of a generator without operators."""
-    return np.zeros((0, 0), dtype=complex) if value == [] else _complex_matrix(value, path)
-
-
-def _grid(value, path):
-    if not isinstance(value, list) or len(value) < 2:
-        raise ValidationError(f"{path} must be a list of at least 2 positions")
-    grid = [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError(f"{path} must be strictly ascending")
-    return grid
-
-
-# Default of a key that must be present.  A default of None leaves an absent
-# key None; a callable default gets the fields parsed before it.
-_REQUIRED = object()
-
-
-def _obj(fields, name=None):
-    """Parser for an object declared as {key: (parser, default)}; keys are
-    checked and parsed in table order.  ``name`` labels the parameters block,
-    whose fields are reported by bare key."""
-    required = {key for key, (_, default) in fields.items() if default is _REQUIRED}
-
-    def parse(value, path):
-        _check_keys(value, name or path, fields, required)
-        out = dict.fromkeys(fields)
-        for key, (parser, default) in fields.items():
-            if key in value:
-                out[key] = parser(value[key], key if name else f"{path}.{key}")
-            elif default is not None:
-                given = default(out) if callable(default) else default
-                out[key] = parser(given, key if name else f"{path}.{key}")
-        return out
-
-    return parse
-
-
-def _spec(cls):
-    """Parser for a numerics block with the fields and defaults of ``cls``;
-    the dataclass's own checks are reported under the block's path."""
-    fields = {f.name: (_integer if f.type in (int, "int") else _number, f.default)
-              for f in dataclass_fields(cls)}
-    parse_fields = _obj(fields)
-
-    def parse(value, path):
-        kwargs = parse_fields(value, path)
-        try:
-            return cls(**kwargs)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-
-    return parse
-
-
-_positive = partial(_number, exclusive_minimum=0.0)
-
-# law kind -> (law table, default number of kick-quadrature nodes, law class)
-_LAWS = {
-    "gaussian": (_obj({"kind": (_string, _REQUIRED), "sigma_q": (_positive, _REQUIRED)}),
-                 64, col.GaussianMomentumLaw),
-    "two_point": (_obj({"kind": (_string, _REQUIRED), "q0": (_positive, _REQUIRED)}),
-                  2, col.TwoPointMomentumLaw),
-}
-
-
-def _law(value, path):
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ValidationError(f'{path} must be an object with a "kind" key')
-    kind = _string(value["kind"], f"{path}.kind", choices=tuple(_LAWS))
-    return _LAWS[kind][0](value, path)
-
-
-_TIME = _obj({"t_max": (_positive, _REQUIRED),
-              "n_points": (partial(_integer, minimum=2), _REQUIRED)})
+_TIME = obj({"t_max": (positive, REQUIRED),
+             "n_points": (partial(integer, minimum=2), REQUIRED)})
 # an absent quadrature block is the default spec; an absent ode block is None
-_NUMERICS = _obj({"quadrature": (_spec(QuadratureSpec), {}), "ode": (_spec(OdeSpec), None)})
-_OUTPUT = _obj({"csv_path": (_string, _REQUIRED), "report_path": (_string, _REQUIRED)})
+_NUMERICS = obj({"quadrature": (spec(QuadratureSpec), {}), "ode": (spec(OdeSpec), None)})
+_OUTPUT = obj({"csv_path": (string, REQUIRED), "report_path": (string, REQUIRED)})
 
 
 def _unique_keys(pairs) -> dict:
-    obj = {}
+    out = {}
     for key, value in pairs:
-        if key in obj:
+        if key in out:
             raise ParseError(f'duplicate key "{key}" in scenario JSON')
-        obj[key] = value
-    return obj
+        out[key] = value
+    return out
 
 
 def _load_json(text):
@@ -358,16 +198,16 @@ def validate_scenario(raw, *, for_check_cp: bool = False) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a JSON object")
     keys = ("model", "parameters", "time", "output")
-    _check_keys(raw, "scenario", allowed=keys + ("numerics",), required=keys)
-    model = _string(raw["model"], "model", choices=tuple(_FAMILIES))
+    check_keys(raw, "scenario", allowed=keys + ("numerics",), required=keys)
+    model = string(raw["model"], "model", choices=tuple(_FAMILIES))
     family = _FAMILIES[model]
-    parameters = family.schema(raw["parameters"], "parameters")
+    parameters = family.PARAMETERS(raw["parameters"], "parameters")
     numerics = _NUMERICS(raw.get("numerics", {}), "numerics")
     if for_check_cp:
         _channel(model)
-    system = family.system(parameters, numerics["quadrature"])
+    system = family.build(parameters, numerics["quadrature"])
     try:
-        rho0 = family.rho0(parameters)
+        rho0 = family.initial_state(parameters)
     except ValidationError as exc:
         raise ValidationError(f"initial state: {exc}") from exc
     return Scenario(model=model, parameters=parameters, system=system, rho0=rho0,
@@ -388,87 +228,7 @@ def _read_seed():
 # ----------------------------------------------------------------------
 
 
-def _collisional_system(p, _quadrature) -> tuple:
-    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
-    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
-    return law, col.build_discretized_generator(law, p["grid"], p["n_q"])
-
-
-def _gksl_system(p, _quadrature) -> GkslGenerator:
-    # GkslGenerator checks the operator and Kossakowski dimensions and PSD-ness
-    gen = GkslGenerator(p["hamiltonian"], p["lindblad_ops"], p["kossakowski"])
-    if len(p["rho0"]) != gen.dim:
-        raise ValidationError(f"rho0 must have {gen.dim} rows, got {len(p['rho0'])}")
-    return gen
-
-
-def _dephasing_rho0(p) -> DensityMatrix:
-    pop, coh = p["initial_population_upper"], p["initial_coherence"]
-    return DensityMatrix(np.array([[pop, coh], [coh.conjugate(), 1.0 - pop]], dtype=complex))
-
-
-@dataclass(frozen=True)
-class _Family:
-    """One model family, as validate_scenario, run_scenario and check_cp see it."""
-
-    schema: Callable  # (raw parameters, path) -> parameters dict
-    system: Callable  # (parameters, quadrature) -> DephasingModel, GkslGenerator or (law, gen)
-    rho0: Callable  # parameters dict -> initial state
-    columns: tuple  # the family module's COLUMNS: CSV columns between "t" and "trace_drift"
-    run: Callable  # the family module's run: per time, state, row values and residuals
-    channel: Callable | None  # Scenario.system -> (t -> Superoperator); None: no check-cp
-
-
-_FAMILIES = {
-    "dephasing": _Family(
-        schema=_obj({
-            "omega0": (_number, _REQUIRED),
-            # SpectralDensity's checks (a finite, nonzero prefactor and a finite
-            # total weight) run at parse time
-            "spectral": (_obj({
-                "coupling": (partial(_number, minimum=0.0), _REQUIRED),
-                "s": (_positive, _REQUIRED),
-                "omega_c": (_positive, _REQUIRED),
-            }), _REQUIRED),
-            "bath": (_obj({"beta": (_beta, _REQUIRED)}), _REQUIRED),
-            "initial_population_upper": (partial(_number, minimum=0.0, maximum=1.0), 0.5),
-            "initial_coherence": (_complex_entry, [0.5, 0.0]),
-        }, name="parameters"),
-        system=lambda p, quadrature: DephasingModel(
-            p["omega0"], SpectralDensity(**p["spectral"]), BathSpec(**p["bath"]), quadrature),
-        rho0=_dephasing_rho0,
-        columns=dephasing.COLUMNS,
-        run=dephasing.run,
-        channel=lambda model: model.channel,
-    ),
-    "collisional": _Family(
-        schema=_obj({
-            "law": (_law, _REQUIRED),
-            "grid": (_grid, _REQUIRED),
-            "rate": (_positive, _REQUIRED),
-            "n_q": (partial(_integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
-            "initial_state": (partial(_string, choices=("superposition",)), "superposition"),
-        }, name="parameters"),
-        system=_collisional_system,
-        rho0=lambda p: col.PositionDensityMatrix.superposition(p["grid"]),
-        columns=col.COLUMNS,
-        run=col.run,
-        channel=None,
-    ),
-    "gksl": _Family(
-        schema=_obj({
-            "hamiltonian": (_complex_matrix, _REQUIRED),
-            "lindblad_ops": (_complex_matrices, _REQUIRED),
-            "kossakowski": (_kossakowski, _REQUIRED),
-            "rho0": (_complex_matrix, _REQUIRED),
-        }, name="parameters"),
-        system=_gksl_system,
-        rho0=lambda p: DensityMatrix(p["rho0"]),
-        columns=gksl.COLUMNS,
-        run=gksl.run,
-        channel=semigroup_channel,
-    ),
-}
+_FAMILIES = {"dephasing": dephasing, "collisional": col, "gksl": gksl}
 
 
 def run_scenario(s: Scenario):
@@ -481,7 +241,7 @@ def run_scenario(s: Scenario):
         rows.append([float(t), *values, report.observe(m)])
         for name, value in residuals.items():
             report.residual(name, value)
-    return ["t", *family.columns, "trace_drift"], rows, report.finalize()
+    return ["t", *family.COLUMNS, "trace_drift"], rows, report.finalize()
 
 
 def _channel(model: str) -> Callable:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .gksl import DensityMatrix, GkslGenerator, integrate_constant
 from .numcore import OdeSpec
+from .schema import REQUIRED, integer, number, obj, positive, string
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,6 @@ def evolve_exact(
     return PositionDensityMatrix(rho0.grid, kernel * rho0.matrix)
 
 
-def discretized_characteristic_function(
-    law: MomentumTransferLaw, n_q: int, dx
-) -> np.ndarray:
-    """Phi_n(dx): the n_q-node quadrature approximant of the law's
-    characteristic function (exact for the two-point law)."""
-    q, w = law.nodes(n_q)
-    dx = np.atleast_1d(np.asarray(dx, dtype=float))
-    vals = (np.exp(1j * np.outer(dx, q)) * w).sum(axis=1) / law.rate
-    return vals.real
-
-
 def build_discretized_generator(
     law: MomentumTransferLaw, grid, n_q: int
 ) -> GkslGenerator:
@@ -253,6 +244,56 @@ def fdt_response(gas: GasSpec, q: float, e: float) -> float:
     if be > 30.0:
         return -math.pi * math.exp(be + log_s)
     return -math.pi * math.expm1(be) * math.exp(log_s)
+
+
+def _grid(value, path):
+    if not isinstance(value, list) or len(value) < 2:
+        raise ValidationError(f"{path} must be a list of at least 2 positions")
+    grid = [number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError(f"{path} must be strictly ascending")
+    return grid
+
+
+# law kind -> (law table, default number of kick-quadrature nodes, law class)
+_LAWS = {
+    "gaussian": (obj({"kind": (string, REQUIRED), "sigma_q": (positive, REQUIRED)}),
+                 64, GaussianMomentumLaw),
+    "two_point": (obj({"kind": (string, REQUIRED), "q0": (positive, REQUIRED)}),
+                  2, TwoPointMomentumLaw),
+}
+
+
+def _law(value, path):
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ValidationError(f'{path} must be an object with a "kind" key')
+    kind = string(value["kind"], f"{path}.kind", choices=tuple(_LAWS))
+    return _LAWS[kind][0](value, path)
+
+
+# A scenario's parameters block
+PARAMETERS = obj({
+    "law": (_law, REQUIRED),
+    "grid": (_grid, REQUIRED),
+    "rate": (positive, REQUIRED),
+    "n_q": (partial(integer, minimum=2), lambda out: _LAWS[out["law"]["kind"]][1]),
+    "initial_state": (partial(string, choices=("superposition",)), "superposition"),
+}, name="parameters")
+
+
+def build(p, _quadrature) -> tuple:
+    """(law, discretized generator): the system that :func:`run` takes."""
+    law_fields = {k: v for k, v in p["law"].items() if k != "kind"}
+    law = _LAWS[p["law"]["kind"]][2](rate=p["rate"], **law_fields)
+    return law, build_discretized_generator(law, p["grid"], p["n_q"])
+
+
+def initial_state(p) -> PositionDensityMatrix:
+    return PositionDensityMatrix.superposition(p["grid"])
+
+
+# check-cp has no channel to certify for a collisional scenario
+channel = None
 
 
 # CSV columns of a collisional run, between "t" and "trace_drift"

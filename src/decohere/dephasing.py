@@ -34,7 +34,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .numcore import (
     integrate_panels,
     panel_layout,
 )
+from .schema import REQUIRED, complex_entry, number, obj, positive
 
 # Outer spec for the nested time-domain cross-check integrals: tight
 # relative tolerance so the check stays meaningful for large hot-bath
@@ -176,6 +177,15 @@ class DephasingModel:
     def __post_init__(self):
         if not math.isfinite(self.omega0):
             raise ValidationError("omega0 must be finite")
+        # Gauss rules for the integrands' power law at w = 0: J(w) coth(beta w/2)
+        # ~ w^(s-1) at finite temperature, J(w) ~ w^s at T = 0.  Built here, so
+        # an s whose s - 1 rounds to -1 is rejected before any integral runs.
+        try:
+            rule = PanelRule(self.spectral.s - (0.0 if self.bath.zero_temperature else 1.0))
+        except ValidationError as exc:
+            raise ValidationError(f"spectral exponent s = {self.spectral.s} is too small "
+                                  f"at finite temperature: {exc}") from exc
+        object.__setattr__(self, "_panel_rule", rule)
 
     def _thermal(self, w: float) -> float:
         """J(w) * coth(beta w / 2), the temperature-dressed spectral weight."""
@@ -190,13 +200,6 @@ class DephasingModel:
     # period of the kernel; their width is wc / 2^k, which changes only
     # when t doubles, so a model builds each layout, with its nodes,
     # weights and the t-independent panel weight at its nodes, once.
-
-    @cached_property
-    def _panel_rule(self) -> PanelRule:
-        """Gauss rules for the integrands' power law at w = 0:
-        J(w) coth(beta w/2) ~ w^(s-1) at finite temperature, J(w) ~ w^s at
-        T = 0.  Built once per model."""
-        return PanelRule(self.spectral.s - (0.0 if self.bath.zero_temperature else 1.0))
 
     @cached_property
     def _layouts(self) -> dict:
@@ -342,6 +345,43 @@ class DephasingModel:
         fixed, varying = self.generator_parts
         return GkslGenerator(fixed.hamiltonian, varying.lindblad_ops,
                              gamma * varying.kossakowski, validate_psd=gamma >= 0)
+
+
+def _beta(value, path):
+    """Inverse temperature; the string "inf" encodes beta = +inf."""
+    if value == "inf":
+        return math.inf
+    return number(value, path, exclusive_minimum=0.0)
+
+
+# A scenario's parameters block; build runs SpectralDensity's checks (a
+# finite, nonzero prefactor and a finite total weight) at parse time
+PARAMETERS = obj({
+    "omega0": (number, REQUIRED),
+    "spectral": (obj({
+        "coupling": (partial(number, minimum=0.0), REQUIRED),
+        "s": (positive, REQUIRED),
+        "omega_c": (positive, REQUIRED),
+    }), REQUIRED),
+    "bath": (obj({"beta": (_beta, REQUIRED)}), REQUIRED),
+    "initial_population_upper": (partial(number, minimum=0.0, maximum=1.0), 0.5),
+    "initial_coherence": (complex_entry, [0.5, 0.0]),
+}, name="parameters")
+
+
+def build(p, quadrature) -> DephasingModel:
+    return DephasingModel(p["omega0"], SpectralDensity(**p["spectral"]), BathSpec(**p["bath"]),
+                          quadrature)
+
+
+def initial_state(p) -> DensityMatrix:
+    pop, coh = p["initial_population_upper"], p["initial_coherence"]
+    return DensityMatrix(np.array([[pop, coh], [coh.conjugate(), 1.0 - pop]], dtype=complex))
+
+
+def channel(model: DephasingModel):
+    """check-cp's map: t -> the exact channel at t."""
+    return model.channel
 
 
 # CSV columns of a dephasing run, between "t" and "trace_drift"

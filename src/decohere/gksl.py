@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .numcore import OdeSpec
+from .schema import REQUIRED, complex_matrix, obj
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -429,6 +430,42 @@ def canonical_form(gen: GkslGenerator) -> GkslGenerator:
         np.diag(rates).astype(complex),
         validate_psd=bool(np.all(rates >= 0)),
     )
+
+
+def _complex_matrices(value, path):
+    if not isinstance(value, list):
+        raise ValidationError(f"{path} must be a list of matrices")
+    return tuple(complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(value))
+
+
+def _kossakowski(value, path):
+    """A complex matrix, or [] for the empty one of a generator without operators."""
+    return np.zeros((0, 0), dtype=complex) if value == [] else complex_matrix(value, path)
+
+
+# A scenario's parameters block
+PARAMETERS = obj({
+    "hamiltonian": (complex_matrix, REQUIRED),
+    "lindblad_ops": (_complex_matrices, REQUIRED),
+    "kossakowski": (_kossakowski, REQUIRED),
+    "rho0": (complex_matrix, REQUIRED),
+}, name="parameters")
+
+
+def build(p, _quadrature) -> GkslGenerator:
+    # GkslGenerator checks the operator and Kossakowski dimensions and PSD-ness
+    gen = GkslGenerator(p["hamiltonian"], p["lindblad_ops"], p["kossakowski"])
+    if len(p["rho0"]) != gen.dim:
+        raise ValidationError(f"rho0 must have {gen.dim} rows, got {len(p['rho0'])}")
+    return gen
+
+
+def initial_state(p) -> DensityMatrix:
+    return DensityMatrix(p["rho0"])
+
+
+# check-cp's map: t -> exp(t L)
+channel = semigroup_channel
 
 
 # CSV columns of a gksl run, between "t" and "trace_drift"

@@ -30,7 +30,6 @@ from decohere import (
     detailed_balance_ratio,
     evolve_exact,
     fdt_response,
-    integrate_adaptive,
     integrate_constant,
     integrate_time_dependent,
     is_completely_positive,
@@ -38,6 +37,7 @@ from decohere import (
     semigroup_propagator,
 )
 from decohere.cli import main
+from decohere.numcore import integrate_adaptive
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -550,6 +550,23 @@ def test_cli_spectral_peak_exits_2_on_every_command(tmp_path, capsys, omega_c, m
     assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
+SHIPPED_SPECTRAL_EXPONENT = SHIPPED_INVALID_KOSSAKOWSKI.with_name(
+    "invalid_spectral_exponent.json")
+EXPONENT_MESSAGE = ("spectral exponent s = 1e-17 is too small at finite temperature: "
+                    "panel rule power must be > -1")
+
+
+def test_cli_spectral_exponent_exits_2_on_every_command(tmp_path, capsys):
+    # at beta = 2 the integrands go as w^(s - 1) near 0, and s - 1 rounds to -1
+    raw = json.loads(SHIPPED_SPECTRAL_EXPONENT.read_text())
+    raw["output"] = dephasing_scenario(tmp_path)["output"]
+    p = write_scenario(tmp_path, raw)
+    for argv in (["run", str(p)], ["check-cp", str(p)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {EXPONENT_MESSAGE}\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV or report
+
+
 NODES_MESSAGE = "gaussian law needs n_q >= 16 quadrature nodes, got 8"
 FAMILY_MESSAGE = "check-cp supports gksl and dephasing scenarios only"
 
@@ -899,7 +916,10 @@ def test_cli_sweep_rejects_repeated_values(tmp_path, capsys):
     ("dephasing_ohmic_zero_temperature", ("parameters", "spectral", "omega_c"), 1e-3,
      "spectral.s", "1,400", OVERFLOW_MESSAGE),
     ("collisional_two_site", ("parameters", "n_q"), 64, "n_q", "64,8", NODES_MESSAGE),
-], ids=["dephasing", "collisional"])
+    # at beta = 2, s = 1 runs and s = 1e-17 is too small for the panel rule
+    ("dephasing_ohmic_zero_temperature", ("parameters", "bath", "beta"), 2.0,
+     "spectral.s", "1,1e-17", EXPONENT_MESSAGE),
+], ids=["dephasing", "collisional", "dephasing-exponent"])
 def test_cli_sweep_validates_every_value_before_it_runs_any(
         tmp_path, capsys, name, path, value, param, values, message):
     raw = _patched(json.loads((SHIPPED_SCENARIOS / f"{name}.json").read_text()), path, value)

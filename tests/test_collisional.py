@@ -13,10 +13,8 @@ from decohere import (
     choi_of_propagator,
     decoherence_factor,
     detailed_balance_ratio,
-    discretized_characteristic_function,
     evolve_exact,
     fdt_response,
-    integrate_adaptive,
     integrate_constant,
     is_completely_positive,
     mb_structure_factor,
@@ -27,6 +25,7 @@ from decohere.errors import (
     ValidationError,
     ZeroMomentumTransferError,
 )
+from decohere.numcore import integrate_adaptive
 
 
 def random_position_state(rng, grid):
@@ -173,10 +172,13 @@ def test_two_point_generator_action_is_exact():
 
 
 def test_gaussian_characteristic_function_converges():
+    # the generator's kernel is -rate (1 - Phi_n(x - y)), so acting on the
+    # all-ones matrix it gives Phi_n at every separation of the grid
     law = GaussianMomentumLaw(1.0, 1.0)
-    dx = np.linspace(-7.0, 7.0, 29)
-    phi_n = discretized_characteristic_function(law, 64, dx)
-    phi = np.exp(-0.5 * dx * dx)
+    grid = np.arange(8.0)
+    gen = build_discretized_generator(law, grid, 64)
+    phi_n = 1.0 + apply_generator(gen, np.ones((8, 8), dtype=complex))[0].real / law.rate
+    phi = np.exp(-0.5 * grid * grid)
     assert np.abs(phi_n - phi).max() <= 1e-10
 
 

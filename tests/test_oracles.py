@@ -53,8 +53,7 @@ ROWS = [
                  "coherence_abs_analytic_vs_ode", id="dephasing-dissipator-rate"),
     pytest.param("gksl_unitary_qubit", {}, _semigroup_dt_scaled,
                  "ode_vs_semigroup", id="gksl-semigroup-dt"),
-    # at a separation of 10 / sigma_q, Phi is 0 with or without the mutation
-    pytest.param("collisional_two_site", {"grid": [0.0, 1.0]}, _phi_argument_scaled,
+    pytest.param("collisional_gaussian_grid", {}, _phi_argument_scaled,
                  "exact_vs_discretized_generator", id="collisional-phi-argument"),
     # the closed form, the ODE and both two-form routes read the same weight
     pytest.param("dephasing_ohmic_zero_temperature", {"bath": {"beta": 2.0}},
