@@ -25,7 +25,7 @@ Conventions (pinned here, used consistently everywhere):
 The spectral integrals gamma, Gamma and the real and imaginary parts of
 the bath correlation alpha differ only in their weight, J or J coth, and
 their kernel k(w, t); each is one entry of ``_KERNELS``, which both the
-panel rule and its QUADPACK fallback read; at zero coupling each is 0.
+panel rule and its QUADPACK fallback read on (0, cutoff); at zero coupling each is 0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -164,15 +164,41 @@ class BathSpec:
         return (2.0 / self.beta) * ratio
 
 
+def _cutoff(spectral: SpectralDensity, bath: BathSpec, tol: float) -> float:
+    """max(40 omega_c, U_tol): U_tol = x omega_c, x > s, is the smallest U at which
+    coth(beta U/2) max(1, 1/U, 2/U^2) coupling omega_c^2 x^s e^(-x) x/(x - s) <= tol.
+    Beyond U these factors bound coth(beta w/2), |kernel| and the tail of J,
+    coupling omega_c^2 Gamma(s + 1, x), so every integral's tail; they fall with x."""
+    s, wc = spectral.s, spectral.omega_c
+
+    def too_short(x):  # for x > s
+        log_u, half = math.log(x) + math.log(wc), 0.5 * bath.beta * x * wc
+        log_coth = (-math.log(math.tanh(half)) if half > 1e-8  # else coth(h) ~ 1/h
+                    else math.log(2.0) - math.log(bath.beta) - log_u)
+        log_kernel = max(0.0, -log_u, math.log(2.0) - 2.0 * log_u)
+        return (math.log(spectral.coupling) + 2.0 * math.log(wc) + log_coth + log_kernel
+                + s * math.log(x) - x + math.log(x / (x - s)) > math.log(tol))
+
+    if spectral.coupling == 0 or (s < 40.0 and not too_short(40.0)):
+        return 40.0 * wc
+    lo, hi = max(40.0, s), 2.0 * max(40.0, s)
+    while too_short(hi):  # the bound falls as e^(-x): a few doublings
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # bisect to adjacent floats
+        lo, hi = (mid, hi) if too_short(mid) else (lo, mid)
+    return hi * wc
+
+
 @dataclass(frozen=True)
 class DephasingModel:
     """Two-level pure dephasing: free frequency, spectral density, bath, and
-    the quadrature spec of its spectral integrals."""
+    the quadrature spec of its spectral integrals, over (0, :func:`_cutoff`)."""
 
     omega0: float
     spectral: SpectralDensity
     bath: BathSpec
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE
+    cutoff: float = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.omega0):
@@ -186,6 +212,8 @@ class DephasingModel:
             raise ValidationError(f"spectral exponent s = {self.spectral.s} is too small "
                                   f"at finite temperature: {exc}") from exc
         object.__setattr__(self, "_panel_rule", rule)
+        object.__setattr__(self, "cutoff",
+                           _cutoff(self.spectral, self.bath, self.quadrature.abs_tol))
 
     def _thermal(self, w: float) -> float:
         """J(w) * coth(beta w / 2), the temperature-dressed spectral weight."""
@@ -195,7 +223,7 @@ class DephasingModel:
     #
     # Each integral over w reads one _KERNELS entry, through the panel rule
     # with the weight as an array or, on fallback, integrate_oscillatory
-    # with the scalar weight, on the one range _spectral_integral truncates.
+    # with the scalar weight, on the one range (0, cutoff).
     # The panels are no wider than pi/t, so that each holds at most half a
     # period of the kernel; their width is wc / 2^k, which changes only
     # when t doubles, so a model builds each layout, with its nodes,
@@ -216,7 +244,7 @@ class DephasingModel:
             return envelope
         return envelope * (self.bath.thermal_weight(w) if thermal else w)
 
-    def _panel_layout(self, thermal: bool, t: float, upper: float, head_width: float):
+    def _panel_layout(self, thermal: bool, t: float, head_width: float):
         """(layout, panel weight at its nodes) for the integrals at t, with
         panels of width wc / 2^k for the smallest k >= 0 that keeps them no
         wider than pi/t; (None, None) when no layout fits max_subdivisions.
@@ -230,10 +258,10 @@ class DephasingModel:
         key = (thermal, k)
         if key not in self._layouts:
             budget = self.quadrature.max_subdivisions
-            layout = panel_layout(self._panel_rule, upper, wc / 2**k, budget,
+            layout = panel_layout(self._panel_rule, self.cutoff, wc / 2**k, budget,
                                   head_width=head_width)
             if layout is None:  # too many panels: pi/t may need fewer, for this call alone
-                exact = panel_layout(self._panel_rule, upper, limit, budget,
+                exact = panel_layout(self._panel_rule, self.cutoff, limit, budget,
                                      head_width=head_width) if k else None
                 return exact, None if exact is None else self._panel_weight(exact.nodes, thermal)
             self._layouts[key] = (layout, self._panel_weight(layout.nodes, thermal))
@@ -248,18 +276,13 @@ class DephasingModel:
         thermal, kernel, (trig, m) = _KERNELS[kind]
         weight = self._thermal if thermal else self.spectral
         spec = self.quadrature
-        # both routes integrate (0, upper): J decays as exp(-w/wc) beyond it
-        upper = spec.tail_cutoff_multiplier * self.spectral.omega_c
-        bath = self.bath
         # coth(beta w/2) has poles at w = 2 pi i k / beta
-        pole_scale = math.inf if bath.zero_temperature else 2 * math.pi / bath.beta
-        layout, panel_weight = self._panel_layout(thermal, t, upper, pole_scale)
+        pole_scale = math.inf if self.bath.zero_temperature else 2 * math.pi / self.bath.beta
+        layout, panel_weight = self._panel_layout(thermal, t, pole_scale)
         value, _ = integrate_panels(  # g is called only at layout.nodes
-            lambda w: kernel(panel_weight, w, t),
-            layout,
-            spec,
+            lambda w: kernel(panel_weight, w, t), layout, spec,
             fallback=lambda: integrate_oscillatory(
-                lambda w: weight(w) / w**m, trig, t, upper, spec,
+                lambda w: weight(w) / w**m, trig, t, self.cutoff, spec,
                 head=lambda w: kernel(weight(w), w, t), breakpoints=(pole_scale,),
             ),
         )

@@ -366,31 +366,11 @@ def _integrate(rhs, rho0, t_grid, spec) -> list[DensityMatrix]:
             f"invariant drift exceeded {DRIFT_ERROR_THRESHOLD:.0e}: {exc}") from exc
 
 
-def choi_of_propagator(prop: Superoperator | Callable[[np.ndarray], np.ndarray],
-                       dim: int | None = None) -> ChoiMatrix:
-    """Choi matrix C = sum_ij E_ij kron Map(E_ij) of a map.
-
-    ``prop`` is either a Superoperator or a callable acting on d x d
-    matrices (then ``dim`` is required), which is first turned into its
-    superoperator by applying it once to each E_ij.  C is a reshuffle of
-    the superoperator S: C[i d + a, j d + b] = Map(E_ij)[a, b]
+def choi_of_propagator(prop: Superoperator) -> ChoiMatrix:
+    """Choi matrix C = sum_ij E_ij kron Map(E_ij) of the map ``prop``: a
+    reshuffle of its superoperator S, C[i d + a, j d + b] = Map(E_ij)[a, b]
     = S[a + d b, i + d j].
     """
-    if not isinstance(prop, Superoperator):
-        if dim is None:
-            raise ValidationError("dim is required for a callable map")
-        columns = []
-        for j in range(dim):
-            for i in range(dim):
-                e_ij = np.zeros((dim, dim), dtype=complex)
-                e_ij[i, j] = 1.0
-                mapped = np.asarray(prop(e_ij), dtype=complex)
-                if mapped.shape != (dim, dim):
-                    raise DimensionMismatchError(
-                        f"map returned shape {mapped.shape}, expected {(dim, dim)}"
-                    )
-                columns.append(vec(mapped))
-        prop = Superoperator(np.column_stack(columns))
     d = prop.dim
     c = prop.matrix.reshape((d, d, d, d), order="F").transpose(2, 0, 3, 1)
     return ChoiMatrix(c.reshape(d * d, d * d))

@@ -55,7 +55,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2048
-    tail_cutoff_multiplier: float = 40.0
 
     def __post_init__(self):
         if not (self.abs_tol >= 1e-14):
@@ -64,8 +63,6 @@ class QuadratureSpec:
             raise ValidationError("rel_tol must be >= 1e-14")
         if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
             raise ValidationError("max_subdivisions must be a positive integer")
-        if not (self.tail_cutoff_multiplier >= 10):
-            raise ValidationError("tail_cutoff_multiplier must be >= 10")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

@@ -526,6 +526,24 @@ def test_cli_spectral_overflow_exits_2_on_every_command(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
 
 
+SHIPPED_CUTOFF_MULTIPLIER = SHIPPED_INVALID_KOSSAKOWSKI.with_name(
+    "invalid_cutoff_multiplier.json")
+
+
+def test_cli_removed_cutoff_multiplier_exits_2_on_every_command(tmp_path, capsys):
+    # the cutoff is derived from J and abs_tol; a document that still sets
+    # the removed multiplier fails instead of silently getting another cutoff
+    raw = json.loads(SHIPPED_CUTOFF_MULTIPLIER.read_text())
+    raw["output"] = dephasing_scenario(tmp_path)["output"]
+    p = write_scenario(tmp_path, raw)
+    for argv in (["run", str(p)], ["check-cp", str(p)],
+                 ["sweep", str(p), "--param", "spectral.s", "--values", "1,2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            'error: unknown key "tail_cutoff_multiplier" in numerics.quadrature\n')
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]  # no CSV, report or manifest
+
+
 SHIPPED_SPECTRAL_PEAK = SHIPPED_INVALID_KOSSAKOWSKI.with_name("invalid_spectral_peak.json")
 UNDERFLOW_MESSAGE = "spectral prefactor coupling * omega_c^(1 - s) underflows to 0"
 WEIGHT_MESSAGE = "spectral weight coupling * omega_c^2 * Gamma(s + 1) overflows"

@@ -1,7 +1,12 @@
 import contextlib
+import importlib.util
 import itertools
+import json
 import math
+import sys
+import timeit
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,6 +24,7 @@ from decohere import (
     choi_of_propagator,
     integrate_time_dependent,
 )
+from decohere.cli import main, parse_scenario
 from decohere.dephasing import _KERNELS
 from decohere.errors import (
     NegativeFrequencyError,
@@ -27,6 +33,8 @@ from decohere.errors import (
 )
 from decohere.gksl import _entrywise_kernel
 from decohere.numcore import QuadratureSpec, integrate_panels, panel_layout
+
+REPO = Path(__file__).resolve().parents[1]
 
 PLUS = DensityMatrix.pure([1.0, 1.0])
 
@@ -370,12 +378,87 @@ def test_zero_temperature_closed_forms(s, wc):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, got, want)
 
 
+@pytest.mark.parametrize("s", [5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+@pytest.mark.parametrize("wc", [0.2, 1.0, 5.0])
+def test_zero_temperature_closed_forms_at_large_s(s, wc):
+    # coupling 0.5/Gamma(s) keeps gamma of order wc; from s = 10 on, J's
+    # tail beyond 40 wc exceeds the tolerance, and the cutoff reaches past it
+    lam = 0.5 / math.gamma(s)
+    model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(math.inf))
+    for t in np.geomspace(0.01, 20.0, 13):
+        for got, want in ((model.dephasing_rate(t), _t0_rate(lam, s, wc, t)),
+                          (model.decoherence_function(t), _t0_decoherence(lam, s, wc, t))):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, got, want)
+
+
+def test_rate_beyond_forty_omega_c_integrates():
+    # at s = 10 and t = 3 the panel rule misses its tolerance and falls back;
+    # on (0, 40 wc), where J is still 0.045, QUADPACK failed with a roundoff error
+    model = DephasingModel(0.0, SpectralDensity(1.0, 10.0, 1.0), BathSpec(math.inf))
+    got, want = model.dephasing_rate(3.0), _t0_rate(1.0, 10.0, 1.0, 3.0)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _dephasing_bath_documents(workdir, monkeypatch):
+    """The dephasing documents of benchmark seeds 1-3, sweep variants included."""
+    spec = importlib.util.spec_from_file_location("bench_scenarios",
+                                                  REPO / "perfbench" / "scenarios.py")
+    scenarios = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, scenarios)  # its dataclasses look it up
+    spec.loader.exec_module(scenarios)
+    documents = {}
+    for seed in (1, 2, 3):
+        for command in scenarios.generate("dephasing_bath", seed, workdir / str(seed), REPO):
+            documents[seed, command.scenario.name] = json.loads(command.scenario.path.read_text())
+            documents.update(((seed, path), doc) for path, doc in command.sweep_variants.items())
+    return list(documents.values())
+
+
+def test_cutoff_is_forty_omega_c_where_the_tail_is_negligible(tmp_path, monkeypatch):
+    shipped = [json.loads((REPO / "scenarios" / f"{name}.json").read_text())
+               for name in ("dephasing_ohmic_zero_temperature", "dephasing_zero_coupling")]
+    documents = [*shipped, *_dephasing_bath_documents(tmp_path, monkeypatch)]
+    assert len(documents) == 2 + 3 * 6  # three scenarios and three sweep variants a seed
+    for raw in documents:
+        model = parse_scenario(json.dumps(raw)).system
+        assert model.cutoff == 40 * model.spectral.omega_c, raw["parameters"]
+
+
+def test_cutoff_grows_with_the_tail():
+    raw = json.loads((REPO / "scenarios" / "dephasing_superohmic_s20.json").read_text())
+    model = parse_scenario(json.dumps(raw)).system
+    assert model.spectral.s == 20.0 and model.cutoff > 40 * model.spectral.omega_c
+    # at a tiny coupling and s = 250 the cutoff is found in bounded time
+    far = (0.0, SpectralDensity(1e-300, 250.0, 1.0), BathSpec(math.inf))
+    assert min(timeit.repeat(lambda: DephasingModel(*far), number=1, repeat=5)) < 0.01
+    assert 1000 < DephasingModel(*far).cutoff < 1100
+
+
+def test_superohmic_s20_scenario_matches_the_closed_forms(tmp_path, monkeypatch):
+    # scenarios/dephasing_superohmic_s20.json: on (0, 40 wc) the report
+    # passed while 39 of these 42 values were off by more than 1e-6
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeRateWarning)
+        assert main(["run", str(REPO / "scenarios" / "dephasing_superohmic_s20.json")]) == 0
+    lines = (tmp_path / "out" / "dephasing_superohmic_s20.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 21
+    for row in rows:
+        t = row[0]
+        for name, want in (("gamma", _t0_rate(1e-17, 20.0, 1.0, t)),
+                           ("Gamma", _t0_decoherence(1e-17, 20.0, 1.0, t))):
+            got = row[header.index(name)]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, name, got, want)
+
+
 def test_finite_temperature_against_mpmath():
     # Reference by mpmath.quad over the same truncated range, broken at
     # every half period k pi / t of the oscillating factor.
     lam, s, wc, beta, t = 1.0, 0.5, 1.0, 0.5, 10.0
     model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
-    upper = 40.0 * wc
+    upper = model.cutoff
     with mpmath.workdps(20):
         half_periods = range(1, int(upper * t / math.pi) + 1)
         points = [0, *(k * mpmath.pi / t for k in half_periods), upper]
@@ -451,11 +534,11 @@ def test_fallback_head_breaks_at_the_thermal_pole_scale():
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (a, b)
 
 
-@pytest.mark.parametrize("quad", [None, QuadratureSpec(tail_cutoff_multiplier=12.5)])
-def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
+@pytest.mark.parametrize("s", [1.5, 12.0], ids=["cutoff-40-wc", "cutoff-beyond-40-wc"])
+def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, s):
     wc = 0.37
-    model = DephasingModel(0.0, SpectralDensity(0.7, 1.5, wc), BathSpec(3.0),
-                           **({} if quad is None else {"quadrature": quad}))
+    model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(3.0))
+    assert (model.cutoff > 40 * wc) == (s > 1.5)
     uppers = []
 
     def panels(g, layout, spec=None, *, fallback):
@@ -471,8 +554,7 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, quad):
     model.bath_correlation(0.8)
     model.dephasing_rate(0.8)
     model.decoherence_function(0.8)
-    upper = (quad or QuadratureSpec()).tail_cutoff_multiplier * wc
-    assert uppers == [(route, upper) for _ in range(4) for route in ("panels", "fallback")]
+    assert uppers == [(route, model.cutoff) for _ in range(4) for route in ("panels", "fallback")]
 
 
 def _by_width(model, kind, t, width):
@@ -480,10 +562,10 @@ def _by_width(model, kind, t, width):
     ``width``, laid out for this call alone: (value, integral of |w^p g|),
     or None where the rule would fall back."""
     thermal, kernel, _ = _KERNELS[kind]
-    spec, wc = model.quadrature, model.spectral.omega_c
+    spec = model.quadrature
     pole_scale = math.inf if model.bath.zero_temperature else 2 * math.pi / model.bath.beta
-    layout = panel_layout(model._panel_rule, spec.tail_cutoff_multiplier * wc, width,
-                          spec.max_subdivisions, head_width=pole_scale)
+    layout = panel_layout(model._panel_rule, model.cutoff, width, spec.max_subdivisions,
+                          head_width=pole_scale)
     terms = []
 
     def g(w):

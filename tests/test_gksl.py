@@ -366,7 +366,7 @@ def test_integrate_constant_entrywise_matches_semigroup():
 
 
 def test_choi_identity_channel():
-    choi = choi_of_propagator(lambda m: m, dim=2)
+    choi = choi_of_propagator(Superoperator(np.eye(4)))
     w = np.linalg.eigvalsh(choi.matrix)
     assert np.allclose(w, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
     assert is_completely_positive(choi).passed
@@ -375,14 +375,14 @@ def test_choi_identity_channel():
 def test_choi_full_dephasing_channel():
     # coherences -> 0: Choi = E00 kron E00 + E11 kron E11, eigenvalues
     # {1, 1, 0, 0} (their sum is the trace-preservation value d = 2)
-    choi = choi_of_propagator(lambda m: np.diag(np.diag(m)), dim=2)
+    choi = choi_of_propagator(Superoperator(np.diag([1.0, 0.0, 0.0, 1.0])))
     w = np.linalg.eigvalsh(choi.matrix)
     assert np.allclose(w, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
     assert is_completely_positive(choi).passed
 
 
 def test_choi_unitary_conjugation_rank_one():
-    choi = choi_of_propagator(lambda m: SIGMA_X @ m @ SIGMA_X, dim=2)
+    choi = choi_of_propagator(Superoperator(np.kron(SIGMA_X.T, SIGMA_X)))
     w = np.linalg.eigvalsh(choi.matrix)
     assert np.allclose(w, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
     result = is_completely_positive(choi)
@@ -390,7 +390,8 @@ def test_choi_unitary_conjugation_rank_one():
 
 
 def test_choi_transpose_map_not_cp():
-    choi = choi_of_propagator(lambda m: m.T, dim=2)
+    swap = np.eye(4)[[0, 2, 1, 3]]  # vec(m) -> vec(m.T)
+    choi = choi_of_propagator(Superoperator(swap))
     w = np.linalg.eigvalsh(choi.matrix)
     assert np.allclose(sorted(w), [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
     result = is_completely_positive(choi)
@@ -421,7 +422,6 @@ def test_choi_reshuffle_equals_map_loop():
                 e_ij[i, j] = 1.0
                 reference += np.kron(e_ij, prop.apply(e_ij))
         assert np.array_equal(choi_of_propagator(prop).matrix, reference)
-        assert np.array_equal(choi_of_propagator(prop.apply, dim=d).matrix, reference)
 
 
 def test_is_cp_requires_hermitian_choi():

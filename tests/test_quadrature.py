@@ -118,8 +118,6 @@ def test_spec_invariants():
     with pytest.raises(ValidationError):
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValidationError):
-        QuadratureSpec(tail_cutoff_multiplier=5.0)
-    with pytest.raises(ValidationError):
         QuadratureSpec(max_subdivisions=0)
 
 
