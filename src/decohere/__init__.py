@@ -32,8 +32,6 @@ from .collisional import (
 )
 from .dephasing import BathSpec, DephasingModel, SpectralDensity
 from .gksl import (
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     ChoiMatrix,
     CpCheckResult,
@@ -77,8 +75,6 @@ __all__ = [
     "OdeSpec",
     "PositionDensityMatrix",
     "QuadratureSpec",
-    "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "SpectralDensity",
     "Superoperator",

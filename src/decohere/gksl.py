@@ -41,8 +41,6 @@ from .errors import (
 from .numcore import OdeSpec
 from .schema import REQUIRED, complex_matrix, obj
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Hard error threshold: an ODE state whose trace, Hermiticity or positivity

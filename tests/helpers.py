@@ -1,8 +1,10 @@
-"""Shared test utilities: seeded random states and generators."""
+"""Shared test utilities: seeded random states and generators, and sigma_x."""
 
 import numpy as np
 
 from decohere import DensityMatrix, GkslGenerator
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def random_hermitian(rng, d, norm=1.0):

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decohere.collisional
 from decohere import (
     GasSpec,
     GaussianMomentumLaw,
@@ -20,12 +23,15 @@ from decohere import (
     mb_structure_factor,
     semigroup_propagator,
 )
+from decohere.cli import run_scenario, validate_scenario
 from decohere.errors import (
     QuadratureSupportError,
     ValidationError,
     ZeroMomentumTransferError,
 )
 from decohere.numcore import integrate_adaptive
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def random_position_state(rng, grid):
@@ -92,14 +98,51 @@ def test_law_validation():
 
 def test_evolve_t0_identity():
     rho0 = PositionDensityMatrix.superposition([0.0, 1.0, 2.5])
-    out = evolve_exact(rho0, GaussianMomentumLaw(1.0, 1.0), 0.0)
+    out = evolve_exact(rho0, GaussianMomentumLaw(1.0, 1.0), [0.0])[0]
     assert np.abs(out.matrix - rho0.matrix).max() == 0.0
+
+
+def test_evolve_rejects_negative_time():
+    rho0 = PositionDensityMatrix.superposition([0.0, 1.0])
+    with pytest.raises(ValidationError, match="t must be >= 0"):
+        evolve_exact(rho0, GaussianMomentumLaw(1.0, 1.0), [0.0, 0.5, -1e-300])
+
+
+@pytest.mark.parametrize("n_points", [2, 51, 401])
+def test_closed_form_evaluates_phi_once_per_separation(monkeypatch, n_points):
+    # one evolve_exact call per run, making N^2 Phi calls whatever the grid length
+    raw = json.loads((SCENARIOS / "collisional_gaussian_grid.json").read_text())
+    raw["time"]["n_points"] = n_points
+    scenario = validate_scenario(raw)
+    n = len(raw["parameters"]["grid"])
+    exact_calls, closed_form_phi_calls, inside = [], [], []
+    phi, evolve = GaussianMomentumLaw.phi, decohere.collisional.evolve_exact
+
+    def counted_phi(law, x):
+        if inside:
+            closed_form_phi_calls.append(x)
+        return phi(law, x)
+
+    def counted_evolve(*args):
+        exact_calls.append(args)
+        inside.append(True)
+        try:
+            return evolve(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(GaussianMomentumLaw, "phi", counted_phi)
+    monkeypatch.setattr(decohere.collisional, "evolve_exact", counted_evolve)
+    _, rows, report = run_scenario(scenario)
+    assert report.passed and len(rows) == n_points
+    assert len(exact_calls) == 1
+    assert len(closed_form_phi_calls) <= n * n
 
 
 def test_evolve_diagonal_state_unchanged():
     grid = np.array([-1.0, 0.0, 2.0])
     rho0 = PositionDensityMatrix(grid, np.diag([0.2, 0.5, 0.3]).astype(complex))
-    out = evolve_exact(rho0, GaussianMomentumLaw(2.0, 1.0), 5.0)
+    out = evolve_exact(rho0, GaussianMomentumLaw(2.0, 1.0), [5.0])[0]
     assert np.abs(out.matrix - rho0.matrix).max() < 1e-15
 
 
@@ -107,7 +150,7 @@ def test_evolve_two_site_halving():
     # well separated pair: plateau rate Lambda halves the coherence at ln 2
     law = GaussianMomentumLaw(1.0, 50.0)
     rho0 = PositionDensityMatrix.superposition([0.0, 1.0])
-    out = evolve_exact(rho0, law, math.log(2.0))
+    out = evolve_exact(rho0, law, [math.log(2.0)])[0]
     assert abs(out.matrix[0, 1] - 0.25) < 1e-10
     assert abs(out.matrix[0, 0] - 0.5) < 1e-15
 
@@ -116,8 +159,7 @@ def test_evolve_diagonal_preserved_to_machine_precision():
     rng = np.random.default_rng(71)
     grid = np.linspace(-2.0, 2.0, 6)
     rho0 = random_position_state(rng, grid)
-    for t in (0.5, 2.0, 5.0):
-        out = evolve_exact(rho0, GaussianMomentumLaw(1.3, 0.8), t)
+    for out in evolve_exact(rho0, GaussianMomentumLaw(1.3, 0.8), (0.5, 2.0, 5.0)):
         assert np.abs(np.diag(out.matrix) - np.diag(rho0.matrix)).max() < 1e-12
 
 
@@ -127,8 +169,8 @@ def test_evolve_offdiagonals_monotone_nonincreasing():
     rho0 = random_position_state(rng, grid)
     law = GaussianMomentumLaw(1.0, 1.0)
     previous = np.abs(rho0.matrix)
-    for t in (0.3, 1.0, 2.5, 5.0):
-        current = np.abs(evolve_exact(rho0, law, t).matrix)
+    for out in evolve_exact(rho0, law, (0.3, 1.0, 2.5, 5.0)):
+        current = np.abs(out.matrix)
         assert np.all(current <= previous + 1e-12)
         previous = current
 
@@ -137,7 +179,7 @@ def test_evolve_output_stays_positive_semidefinite():
     rng = np.random.default_rng(79)
     grid = np.linspace(-1.0, 4.0, 7)
     rho0 = random_position_state(rng, grid)
-    out = evolve_exact(rho0, GaussianMomentumLaw(2.0, 1.5), 1.7)
+    out = evolve_exact(rho0, GaussianMomentumLaw(2.0, 1.5), [1.7])[0]
     w = np.linalg.eigvalsh(out.matrix)
     assert w.min() >= -1e-8
 
@@ -193,8 +235,7 @@ def test_generator_matches_exact_evolution():
         gen = build_discretized_generator(law, grid, n_q)
         t_grid = np.array([0.0, 0.5, 1.0])
         trajectory = integrate_constant(gen, rho0, t_grid)
-        for t, state in zip(t_grid, trajectory):
-            exact = evolve_exact(rho0, law, float(t))
+        for state, exact in zip(trajectory, evolve_exact(rho0, law, t_grid)):
             assert np.abs(state.matrix - exact.matrix).max() < 1e-7
 
 
@@ -204,9 +245,9 @@ def test_two_point_semigroup_matches_exact_to_machine_precision():
     gen = build_discretized_generator(law, grid, 2)
     rng = np.random.default_rng(97)
     rho0 = random_position_state(rng, grid)
-    for t in (0.5, 2.0, 5.0):
+    times = (0.5, 2.0, 5.0)
+    for t, exact in zip(times, evolve_exact(rho0, law, times)):
         prop = semigroup_propagator(gen, t)
-        exact = evolve_exact(rho0, law, t)
         assert np.abs(prop.apply(rho0.matrix) - exact.matrix).max() < 1e-12
 
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density_matrix, random_generator, random_hermitian
+from helpers import SIGMA_X, random_density_matrix, random_generator, random_hermitian
 
 import decohere.gksl
 from decohere import (
-    SIGMA_X,
     SIGMA_Z,
     ChoiMatrix,
     DensityMatrix,

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decohere.collisional
 import decohere.gksl
 from decohere.cli import run_scenario, validate_scenario
 from decohere.collisional import GaussianMomentumLaw
@@ -41,6 +42,12 @@ def _phi_argument_scaled(monkeypatch):
     monkeypatch.setattr(GaussianMomentumLaw, "phi", lambda law, x: phi(law, 1.01 * x))
 
 
+def _factor_time_scaled(monkeypatch):
+    factor = decohere.collisional.decoherence_factor
+    monkeypatch.setattr(decohere.collisional, "decoherence_factor",
+                        lambda law, dx, t: factor(law, dx, 1.5 * t))
+
+
 def _cutoff_ten_omega_c(monkeypatch):
     # every spectral integral truncated at 10 omega_c
     post_init = DephasingModel.__post_init__
@@ -66,6 +73,8 @@ ROWS = [
                  "ode_vs_semigroup", id="gksl-semigroup-dt"),
     pytest.param("collisional_gaussian_grid", {}, _phi_argument_scaled,
                  "exact_vs_discretized_generator", id="collisional-phi-argument"),
+    pytest.param("collisional_gaussian_grid", {}, _factor_time_scaled,
+                 "decoherence_factor_vs_exact", id="collisional-decoherence-factor"),
     # the closed form, the ODE and both two-form routes read the same weight
     pytest.param("dephasing_ohmic_zero_temperature", {"parameters": {"bath": {"beta": 2.0}}},
                  _thermal_weight_scaled, "decoherence_function_two_forms",
