@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Union
 
 import numpy as np
@@ -41,6 +41,15 @@ from .errors import (
 from .gksl import DensityMatrix, GkslGenerator, integrate_constant
 from .numcore import OdeSpec
 from .schema import REQUIRED, integer, number, obj, positive, string
+
+
+@lru_cache(maxsize=16)
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of order n, computed once per n and
+    shared read-only."""
+    h, v = np.polynomial.hermite.hermgauss(n)
+    h.flags.writeable = v.flags.writeable = False
+    return h, v
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class GaussianMomentumLaw:
             raise QuadratureSupportError(
                 f"gaussian law needs n_q >= 16 quadrature nodes, got {n_q}"
             )
-        h, v = np.polynomial.hermite.hermgauss(n_q)
+        h, v = _hermgauss(n_q)
         q = math.sqrt(2.0) * self.sigma_q * h
         w = self.rate * v / math.sqrt(math.pi)
         if np.abs(q).max() < 4.0 * self.sigma_q:
@@ -176,10 +185,11 @@ def build_discretized_generator(
     if g.ndim != 1 or g.size < 1:
         raise ValidationError("grid must be a non-empty 1-D array")
     q, w = law.nodes(n_q)
-    ops = tuple(np.diag(np.exp(1j * qm * g)) for qm in q)
+    kicks = np.zeros((q.size, g.size, g.size), dtype=complex)
+    kicks[:, np.arange(g.size), np.arange(g.size)] = np.exp(1j * np.outer(q, g))
     return GkslGenerator(
         np.zeros((g.size, g.size), dtype=complex),
-        ops,
+        tuple(kicks),
         np.diag(w).astype(complex),
     )
 

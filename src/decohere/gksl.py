@@ -64,14 +64,21 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite state: the one check that
     accepts or rejects a state.  Input states meet the default ``atol``;
     computed ones may drift, 1e-8 from the semigroup and
-    ``DRIFT_ERROR_THRESHOLD`` from the ODE."""
+    ``DRIFT_ERROR_THRESHOLD`` from the ODE.
+
+    The matrix is copied once and ``m^H`` formed once: ``m - m^H`` gives the
+    Hermiticity defect, and positivity (smallest eigenvalue >= -atol) is
+    certified on the Hermitian part ``(m + m^H) / 2`` by a Cholesky factor
+    of that part plus ``atol I``, with the eigenvalue computed only when the
+    factorization fails (:func:`numcore.negative_eigenvalue`)."""
 
     matrix: np.ndarray
     atol: InitVar[float] = 1e-10
 
     def __post_init__(self, atol):
         m = numcore.as_square_complex(self.matrix, "density matrix")
-        defect = numcore.hermiticity_defect(m)
+        mh = m.conj().T
+        defect = float(np.abs(m - mh).max(initial=0.0))
         if defect > atol:
             raise NotHermitianError(
                 f"density matrix Hermiticity defect {defect:.3e} > {atol:.1e}"
@@ -79,9 +86,8 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > atol:
             raise ValidationError(f"density matrix trace {tr!r} differs from 1")
-        min_eig = float(numcore.hermitian_eigenvalues(0.5 * (m + m.conj().T),
-                                                      atol=np.inf)[0])
-        if min_eig < -atol:
+        min_eig = numcore.negative_eigenvalue(0.5 * (m + mh), atol)
+        if min_eig is not None:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {min_eig:.3e}"
             )
@@ -133,9 +139,9 @@ class GkslGenerator:
                 f"kossakowski is {a.shape[0]}x{a.shape[0]} but there are "
                 f"{len(ops)} Lindblad operators"
             )
-        if validate_psd and a.shape[0] > 0:
-            min_eig = float(numcore.hermitian_eigenvalues(a)[0])
-            if min_eig < -1e-10:
+        if validate_psd:
+            min_eig = numcore.negative_eigenvalue(a, 1e-10)
+            if min_eig is not None:
                 raise ValidationError(
                     "kossakowski matrix is not positive semidefinite "
                     f"(min eigenvalue {min_eig:.3e})"
@@ -297,13 +303,13 @@ def _entrywise_kernel(gen: GkslGenerator) -> np.ndarray | None:
     populations are left bit-for-bit unchanged.
     """
     d = gen.dim
-    off_diagonal = ~np.eye(d, dtype=bool)
-    if any(np.count_nonzero(m[off_diagonal])
-           for m in (gen.hamiltonian, *gen.lindblad_ops)):
+    stack = np.array([gen.hamiltonian, *gen.lindblad_ops])
+    flat = stack.reshape(len(stack), -1)  # row 0: H, then one row per L_j
+    diagonals = flat[:, :: d + 1].copy()
+    flat[:, :: d + 1] = 0
+    if flat.any():  # a nonzero off-diagonal entry
         return None
-    h = np.diag(gen.hamiltonian)
-    l = np.array([np.diag(op) for op in gen.lindblad_ops], dtype=complex)
-    l = l.reshape(-1, d)
+    h, l = diagonals[0], diagonals[1:]
     m = l.T @ gen.kossakowski @ l.conj()
     m_diag = np.diag(m)
     return (-1j * (h[:, None] - h[None, :]) + m
@@ -382,7 +388,7 @@ def is_completely_positive(choi: ChoiMatrix, tol: float = 1e-9) -> CpCheckResult
             f"Choi matrix Hermiticity defect {defect:.3e} > 1e-09; "
             "the map is not Hermiticity-preserving"
         )
-    spectrum = numcore.hermitian_eigenvalues(choi.matrix, atol=np.inf)
+    spectrum = numcore.hermitian_spectrum(choi.matrix)
     min_eig = float(spectrum[0])
     return CpCheckResult(min_eig >= -tol, min_eig, spectrum, tol)
 

@@ -10,8 +10,10 @@ from .linalg import (
     as_square_complex,
     hermitian_eigensystem,
     hermitian_eigenvalues,
+    hermitian_spectrum,
     hermiticity_defect,
     matrix_exp,
+    negative_eigenvalue,
     require_hermitian,
 )
 from .ode import DEFAULT_ODE, OdeSpec, ode_solve
@@ -34,11 +36,13 @@ __all__ = [
     "as_square_complex",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
+    "hermitian_spectrum",
     "hermiticity_defect",
     "integrate_adaptive",
     "integrate_oscillatory",
     "integrate_panels",
     "matrix_exp",
+    "negative_eigenvalue",
     "panel_layout",
     "ode_solve",
     "require_hermitian",

@@ -202,6 +202,10 @@ INVALID_INITIAL_STATES = [
      "initial state: density matrix trace (5+0j) differs from 1"),
     (dephasing_scenario, ("parameters", "initial_coherence"), [0.6, 0.0],
      "initial state: density matrix has negative eigenvalue -1.000e-01"),
+    # eigenvalue -2e-10, just past the 1e-10 bound (the Cholesky certificate fails)
+    (gksl_scenario, ("parameters",),
+     gksl_parameters(rho0=[[[0.5, 0], [0.5000000002, 0]], [[0.5000000002, 0], [0.5, 0]]]),
+     "initial state: density matrix has negative eigenvalue -2.000e-10"),
 ]
 INVALID_DOCUMENTS += INVALID_INITIAL_STATES
 
@@ -234,7 +238,7 @@ def test_invalid_document_message(tmp_path, factory, path, value, message):
 
 
 @pytest.mark.parametrize("factory, path, value, message", INVALID_INITIAL_STATES,
-                         ids=["gksl", "dephasing"])
+                         ids=["gksl", "dephasing", "gksl-boundary"])
 def test_cli_invalid_initial_state_exits_2(tmp_path, capsys, factory, path, value, message):
     p = write_scenario(tmp_path, _patched(factory(tmp_path), path, value))
     for argv in (["run", str(p)], ["check-cp", str(p)],

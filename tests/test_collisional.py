@@ -263,6 +263,18 @@ def test_discretized_semigroup_is_completely_positive():
         assert result.passed
 
 
+def test_hermgauss_cache_is_read_only():
+    # the nodes and weights are computed once per order and shared
+    h, v = decohere.collisional._hermgauss(64)
+    assert decohere.collisional._hermgauss(64)[0] is h
+    for cached in (h, v):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    q, w = GaussianMomentumLaw(1.0, 1.0).nodes(64)
+    q[0] = w[0] = 0.0  # each law's nodes are its own arrays
+    assert h[0] != 0.0 and v[0] != 0.0
+
+
 def test_node_budget_validation():
     with pytest.raises(QuadratureSupportError):
         GaussianMomentumLaw(1.0, 1.0).nodes(8)

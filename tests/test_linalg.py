@@ -11,7 +11,7 @@ from decohere.errors import (
     NumericsError,
     ValidationError,
 )
-from decohere.gksl import GkslGenerator, to_superoperator, vec
+from decohere.gksl import DensityMatrix, GkslGenerator, to_superoperator, vec
 from decohere.numcore import (
     as_square_complex,
     hermitian_eigensystem,
@@ -73,6 +73,61 @@ def test_as_square_complex_rejects_nonfinite_and_nonsquare():
         as_square_complex(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(DimensionMismatchError):
         as_square_complex(np.zeros((2, 3)))
+
+
+def _boundary_draws():
+    """(d, atol, factor, h): a Hermitian h with a random eigenbasis,
+    smallest eigenvalue -factor * atol and, for d > 1, the others positive
+    with trace 1; d from 1 to 32."""
+    rng = np.random.default_rng(2022)
+    for d in range(1, 33):
+        for atol in (1e-10, 1e-8, 1e-6):
+            for factor in (0.5, 0.999, 1.001, 2.0):
+                q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                lam = rng.uniform(0.1, 1.0, d)
+                lam[0] = -factor * atol
+                lam[1:] *= (1.0 - lam[0]) / max(lam[1:].sum(), 1e-300)
+                h = (q * lam) @ q.conj().T
+                yield d, atol, factor, 0.5 * (h + h.conj().T)
+
+
+def test_positivity_certificate_decides_as_eigvalsh():
+    """DensityMatrix (at each atol) and the Kossakowski check (at its fixed
+    1e-10) accept or reject exactly as the smallest eigvalsh eigenvalue does,
+    with eigvalsh's value in the message, on either side of the boundary."""
+    for d, atol, factor, h in _boundary_draws():
+        ref = float(np.linalg.eigvalsh(h)[0])
+        # the construction puts the eigenvalue on the intended side
+        assert (ref < -atol) == (factor > 1.0), (d, atol, factor, ref)
+        if d > 1:  # at d = 1 unit trace leaves no room for a negative eigenvalue
+            if ref < -atol:
+                with pytest.raises(ValidationError) as excinfo:
+                    DensityMatrix(h, atol=atol)
+                assert str(excinfo.value) == f"density matrix has negative eigenvalue {ref:.3e}"
+            else:
+                DensityMatrix(h, atol=atol)
+
+        ops = (np.eye(2, dtype=complex),) * d
+        if ref < -1e-10:
+            with pytest.raises(ValidationError) as excinfo:
+                GkslGenerator(np.zeros((2, 2)), ops, h)
+            assert str(excinfo.value) == ("kossakowski matrix is not positive semidefinite "
+                                          f"(min eigenvalue {ref:.3e})")
+        else:
+            GkslGenerator(np.zeros((2, 2)), ops, h)
+
+
+def test_accepted_state_computes_no_eigenvalue(monkeypatch):
+    # the Cholesky certificate alone accepts a state inside the bound
+    def refuse(a):
+        raise AssertionError("eigvalsh called on an accepted state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    rho = a @ a.conj().T
+    DensityMatrix(rho / np.trace(rho).real)
+    GkslGenerator(np.zeros((2, 2)), (np.eye(2),) * 3, np.diag([0.0, 1.0, 2.0]))
 
 
 def test_matrix_exp_zero_is_identity():

@@ -31,6 +31,13 @@ def _dissipator_rate_one(monkeypatch):
         GkslGenerator(np.zeros((2, 2)), (SIGMA_Z,), [[1.0]]))))
 
 
+def _rotation_sign_flipped(monkeypatch):
+    # H = -omega0 sigma_z instead of +omega0 sigma_z
+    monkeypatch.setattr(DephasingModel, "generator_parts", property(lambda model: (
+        GkslGenerator(-model.omega0 * SIGMA_Z),
+        GkslGenerator(np.zeros((2, 2)), (SIGMA_Z,), [[0.5]]))))
+
+
 def _semigroup_dt_scaled(monkeypatch):
     trajectory = decohere.gksl.semigroup_trajectory
     monkeypatch.setattr(decohere.gksl, "semigroup_trajectory",
@@ -69,6 +76,10 @@ def _thermal_weight_scaled(monkeypatch):
 ROWS = [
     pytest.param("dephasing_ohmic_zero_temperature", {}, _dissipator_rate_one,
                  "coherence_abs_analytic_vs_ode", id="dephasing-dissipator-rate"),
+    # every shipped dephasing scenario has omega0 = 0, where the sign cannot show
+    pytest.param("dephasing_ohmic_zero_temperature", {"parameters": {"omega0": 0.7}},
+                 _rotation_sign_flipped, "coherence_complex_analytic_vs_ode",
+                 id="dephasing-rotation-sign"),
     pytest.param("gksl_unitary_qubit", {}, _semigroup_dt_scaled,
                  "ode_vs_semigroup", id="gksl-semigroup-dt"),
     pytest.param("collisional_gaussian_grid", {}, _phi_argument_scaled,
