@@ -52,7 +52,7 @@ import numpy as np
 from . import collisional as col, dephasing, gksl
 from .errors import DecohereError, ParseError, ValidationError
 from .gksl import DRIFT_ERROR_THRESHOLD, choi_of_propagator, is_completely_positive, vec
-from .numcore import OdeSpec, QuadratureSpec, hermiticity_defect
+from .numcore import OdeSpec, QuadratureSpec
 from .schema import REQUIRED, check_keys, integer, obj, positive, spec, string
 
 # check-cp passes while the smallest Choi eigenvalue stays above this.
@@ -105,12 +105,13 @@ class InvariantReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def observe(self, m) -> float:
-        """Fold in one state's trace and Hermiticity drift; return the former."""
-        trace_drift = abs(complex(np.trace(m)) - 1.0)
+    def observe(self, state) -> float:
+        """Fold in one checked state's trace drift and the Hermiticity defect
+        its check measured; return the former."""
+        trace_drift = abs(complex(np.trace(state.matrix)) - 1.0)
         self.trace_drift_max = _worst(self.trace_drift_max, trace_drift)
         self.hermiticity_drift_max = _worst(self.hermiticity_drift_max,
-                                            hermiticity_defect(m))
+                                            state.hermiticity_defect)
         return trace_drift
 
     def residual(self, name: str, value: float) -> None:
@@ -237,8 +238,9 @@ def run_scenario(s: Scenario):
     report = InvariantReport(seed=_read_seed())
     t_grid = np.linspace(0.0, s.t_max, s.n_points)
     rows = []
-    for t, (m, values, residuals) in zip(t_grid, family.run(s.system, s.rho0, t_grid, s.ode)):
-        rows.append([float(t), *values, report.observe(m)])
+    steps = family.run(s.system, s.rho0, t_grid, s.ode)
+    for t, (state, values, residuals) in zip(t_grid, steps):
+        rows.append([float(t), *values, report.observe(state)])
         for name, value in residuals.items():
             report.residual(name, value)
     return ["t", *family.COLUMNS, "trace_drift"], rows, report.finalize()
@@ -262,10 +264,9 @@ def check_cp(s: Scenario, t_list) -> InvariantReport:
         ident = vec(np.eye(prop.dim, dtype=complex)).conj()
         report.trace_drift_max = _worst(report.trace_drift_max,
                                         float(np.abs(ident @ prop.matrix - ident).max()))
-        choi = choi_of_propagator(prop)
+        result = is_completely_positive(choi_of_propagator(prop), tol=-CP_EIGENVALUE_FLOOR)
         report.hermiticity_drift_max = _worst(report.hermiticity_drift_max,
-                                              hermiticity_defect(choi.matrix))
-        result = is_completely_positive(choi, tol=-CP_EIGENVALUE_FLOOR)
+                                              result.hermiticity_defect)
         key = repr(float(t)).removesuffix(".0")  # distinct for distinct times
         report.choi_eigenvalue_by_time[key] = result.min_eigenvalue
         report.residual(f"choi_negativity_t_{key}", -result.min_eigenvalue)

@@ -27,7 +27,7 @@ obeying detailed balance S(q, E) = exp(-beta E) S(q, -E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Union
 
@@ -119,10 +119,11 @@ MomentumTransferLaw = Union[GaussianMomentumLaw, TwoPointMomentumLaw]
 class PositionDensityMatrix:
     """State on a 1D position grid; trace convention is the plain sum of
     diagonal entries (uniform unit weight per grid point); the matrix is
-    checked as a :class:`DensityMatrix`."""
+    checked as a :class:`DensityMatrix`, whose Hermiticity defect it keeps."""
 
     grid: np.ndarray
     matrix: np.ndarray
+    hermiticity_defect: float = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -132,13 +133,25 @@ class PositionDensityMatrix:
             raise ValidationError("grid must be finite")
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise ValidationError("grid must be strictly ascending")
-        m = DensityMatrix(self.matrix).matrix
-        if m.shape[0] != g.size:
-            raise ValidationError(
-                f"matrix is {m.shape[0]}x{m.shape[0]} but grid has {g.size} points"
-            )
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "matrix", m)
+        self._set_matrix(self.matrix)
+
+    def _set_matrix(self, matrix) -> None:
+        state = DensityMatrix(matrix)
+        if state.dim != self.grid.size:
+            raise ValidationError(
+                f"matrix is {state.dim}x{state.dim} but grid has {self.grid.size} points"
+            )
+        object.__setattr__(self, "matrix", state.matrix)
+        object.__setattr__(self, "hermiticity_defect", state.hermiticity_defect)
+
+    def with_matrix(self, matrix) -> "PositionDensityMatrix":
+        """The state ``matrix`` on this state's grid, which was checked when
+        this state was built; ``matrix`` is checked as a :class:`DensityMatrix`."""
+        state = object.__new__(PositionDensityMatrix)
+        object.__setattr__(state, "grid", self.grid)
+        state._set_matrix(matrix)
+        return state
 
     @property
     def dim(self) -> int:
@@ -164,14 +177,14 @@ def evolve_exact(
     rho0: PositionDensityMatrix, law: MomentumTransferLaw, t_grid
 ) -> list[PositionDensityMatrix]:
     """Entrywise closed-form evolution at each t of t_grid, with Phi
-    evaluated once per separation; diagonals are exactly invariant."""
+    evaluated once per separation; diagonals are exactly invariant.  The
+    states share ``rho0``'s grid, which is not checked again."""
     t_grid = [float(t) for t in t_grid]
     if any(t < 0 for t in t_grid):
         raise ValidationError("t must be >= 0")
     dx = rho0.grid[:, None] - rho0.grid[None, :]
     decay = -law.rate * (1.0 - np.vectorize(law.phi, otypes=[float])(dx))
-    return [PositionDensityMatrix(rho0.grid, np.exp(decay * t) * rho0.matrix)
-            for t in t_grid]
+    return [rho0.with_matrix(np.exp(decay * t) * rho0.matrix) for t in t_grid]
 
 
 def build_discretized_generator(
@@ -315,8 +328,8 @@ COLUMNS = ("offdiag_abs", "offdiag_abs_numeric", "decoherence_factor")
 
 
 def run(system, rho0: PositionDensityMatrix, t_grid, ode: OdeSpec | None):
-    """Integrate ``system = (law, generator)`` along t_grid; yield per time the state
-    matrix, the :data:`COLUMNS` values and the residuals against the closed form."""
+    """Integrate ``system = (law, generator)`` along t_grid; yield per time the
+    state, the :data:`COLUMNS` values and the residuals against the closed form."""
     law, gen = system
     extreme_dx = float(rho0.grid[-1] - rho0.grid[0])
     trajectory = integrate_constant(gen, rho0, t_grid, ode)
@@ -324,7 +337,7 @@ def run(system, rho0: PositionDensityMatrix, t_grid, ode: OdeSpec | None):
         exact, m = closed.matrix, state.matrix
         offdiag = abs(exact[0, -1])
         factor = decoherence_factor(law, extreme_dx, float(t))
-        yield m, (offdiag, abs(m[0, -1]), factor), {
+        yield state, (offdiag, abs(m[0, -1]), factor), {
             "exact_vs_discretized_generator": float(np.abs(m - exact).max()),
             "diagonal_drift": float(np.abs(np.diag(m) - np.diag(rho0.matrix)).max()),
             "decoherence_factor_vs_exact":

@@ -413,8 +413,8 @@ COLUMNS = ("gamma", "Gamma", "coherence_re", "coherence_im", "coherence_abs",
 
 
 def run(model: DephasingModel, rho0: DensityMatrix, t_grid, ode: OdeSpec | None):
-    """Integrate the master equation along t_grid; yield per time the state
-    matrix, the :data:`COLUMNS` values and the residuals against the exact solution."""
+    """Integrate the master equation along t_grid; yield per time the state,
+    the :data:`COLUMNS` values and the residuals against the exact solution."""
     # the Runge-Kutta stages with a negative rate, reported as one warning
     negative_at = []
 
@@ -448,4 +448,4 @@ def run(model: DephasingModel, rho0: DensityMatrix, t_grid, ode: OdeSpec | None)
                 gamma - model.dephasing_rate_from_correlation(t))
             residuals["decoherence_function_two_forms"] = abs(
                 big_gamma - model.decoherence_function_from_rate(t))
-        yield m, (gamma, big_gamma, coh.real, coh.imag, abs(coh), abs(m[0, 1])), residuals
+        yield state, (gamma, big_gamma, coh.real, coh.imag, abs(coh), abs(m[0, 1])), residuals

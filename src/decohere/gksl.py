@@ -70,10 +70,12 @@ class DensityMatrix:
     Hermiticity defect, and positivity (smallest eigenvalue >= -atol) is
     certified on the Hermitian part ``(m + m^H) / 2`` by a Cholesky factor
     of that part plus ``atol I``, with the eigenvalue computed only when the
-    factorization fails (:func:`numcore.negative_eigenvalue`)."""
+    factorization fails (:func:`numcore.negative_eigenvalue`).  The defect
+    ``max |m - m^H|`` is kept as ``hermiticity_defect`` for the run report."""
 
     matrix: np.ndarray
     atol: InitVar[float] = 1e-10
+    hermiticity_defect: float = field(init=False)
 
     def __post_init__(self, atol):
         m = numcore.as_square_complex(self.matrix, "density matrix")
@@ -92,6 +94,7 @@ class DensityMatrix:
                 f"density matrix has negative eigenvalue {min_eig:.3e}"
             )
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "hermiticity_defect", defect)
 
     @property
     def dim(self) -> int:
@@ -196,12 +199,14 @@ class ChoiMatrix:
 
 @dataclass(frozen=True)
 class CpCheckResult:
-    """Outcome of a complete-positivity check with the Choi spectrum."""
+    """Outcome of a complete-positivity check with the Choi spectrum and the
+    Choi matrix's Hermiticity defect."""
 
     passed: bool
     min_eigenvalue: float
     spectrum: np.ndarray
     tol: float
+    hermiticity_defect: float
 
     def __bool__(self) -> bool:
         return self.passed
@@ -236,24 +241,30 @@ def apply_generator(gen: GkslGenerator, rho) -> np.ndarray:
 
 
 def to_superoperator(gen: GkslGenerator) -> Superoperator:
-    """Matrix of the generator in the column-stacking convention."""
-    d = gen.dim
-    eye = np.eye(d, dtype=complex)
-    h = gen.hamiltonian
-    s = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    a = gen.kossakowski
-    ops = gen.lindblad_ops
-    for j in range(a.shape[0]):
-        for k in range(a.shape[0]):
-            ajk = a[j, k]
-            if ajk == 0:
-                continue
-            lk_lj = ops[k].conj().T @ ops[j]
-            s += ajk * (
-                np.kron(ops[k].conj(), ops[j])
-                - 0.5 * (np.kron(eye, lk_lj) + np.kron(lk_lj.T, eye))
-            )
-    return Superoperator(s)
+    """Matrix of the generator in the column-stacking convention.
+
+    The Kossakowski matrix is contracted before any Kronecker product:
+    with M_j = sum_k conj(a_jk) L_k and G = sum_j M_j^dag L_j,
+
+        S = I kron (-iH - G/2) + (iH - G/2)^T kron I + sum_j conj(M_j) kron L_j,
+
+    n + 2 products for n operators.  The n jump products are one
+    contraction, and G is read off the jump term as its partial trace, so it
+    holds the same products and the trace row vec(I)^dag S cancels to
+    rounding.  The two products with I are added to the blocks they fill.
+    The right-hand factor is built from H^T and G^T, so a Hamiltonian with a
+    small anti-Hermitian part enters exactly as in L(rho).
+    """
+    d, n = gen.dim, len(gen.lindblad_ops)
+    ops = np.array(gen.lindblad_ops, dtype=complex).reshape(n, d * d)  # row j: L_j
+    m = gen.kossakowski.conj() @ ops  # row j: M_j
+    # s[p, q, r, t] = S[p d + q, r d + t], where A kron B holds A[p, r] B[q, t]
+    s = (m.conj().T @ ops).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    g = np.einsum("aart->rt", s)
+    h, diag = gen.hamiltonian, np.arange(d)
+    s[diag, :, diag, :] += -1j * h - 0.5 * g  # I kron (-iH - G/2): s[p, q, p, t]
+    s[:, diag, :, diag] += 1j * h.T - 0.5 * g.T  # (iH - G/2)^T kron I: s[p, q, r, q]
+    return Superoperator(s.reshape(d * d, d * d))
 
 
 def semigroup_channel(gen: GkslGenerator) -> Callable[[float], Superoperator]:
@@ -390,7 +401,7 @@ def is_completely_positive(choi: ChoiMatrix, tol: float = 1e-9) -> CpCheckResult
         )
     spectrum = numcore.hermitian_spectrum(choi.matrix)
     min_eig = float(spectrum[0])
-    return CpCheckResult(min_eig >= -tol, min_eig, spectrum, tol)
+    return CpCheckResult(min_eig >= -tol, min_eig, spectrum, tol, defect)
 
 
 def canonical_form(gen: GkslGenerator) -> GkslGenerator:
@@ -457,11 +468,11 @@ COLUMNS = ("trace_re", "purity", "coherence_abs")
 
 
 def run(gen: GkslGenerator, rho0: DensityMatrix, t_grid, ode: OdeSpec | None):
-    """Integrate the generator along the uniform t_grid; yield per time the state
-    matrix, the :data:`COLUMNS` values and the residual against the semigroup."""
+    """Integrate the generator along the uniform t_grid; yield per time the
+    state, the :data:`COLUMNS` values and the residual against the semigroup."""
     # the reference route: powers of exp(dt L) on the uniform grid
     references = semigroup_trajectory(gen, rho0, t_grid[1] - t_grid[0], len(t_grid))
     for state, reference in zip(integrate_constant(gen, rho0, t_grid, ode), references):
         m = state.matrix
         values = (complex(np.trace(m)).real, float(np.trace(m @ m).real), abs(m[0, 1]))
-        yield m, values, {"ode_vs_semigroup": float(np.abs(m - reference.matrix).max())}
+        yield state, values, {"ode_vs_semigroup": float(np.abs(m - reference.matrix).max())}

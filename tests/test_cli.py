@@ -14,7 +14,7 @@ import pytest
 
 import decohere.cli as cli
 import decohere.gksl
-from decohere import CpCheckResult
+from decohere import CpCheckResult, DensityMatrix
 from decohere.cli import (
     InvariantReport,
     check_cp,
@@ -833,8 +833,9 @@ def test_nan_survives_the_running_maxima():
     report.residual("x", 1e-9)
     report.residual("x", math.nan)
     report.residual("x", 1e-9)
-    report.observe(np.full((2, 2), math.nan))
-    report.observe(np.eye(2) / 2)
+    report.observe(types.SimpleNamespace(matrix=np.full((2, 2), math.nan),
+                                         hermiticity_defect=math.nan))
+    report.observe(DensityMatrix(np.eye(2) / 2))
     assert math.isnan(report.cross_check_residuals["x"])
     assert math.isnan(report.trace_drift_max) and math.isnan(report.hermiticity_drift_max)
     assert report.finalize().violations == ["trace_drift", "hermiticity_drift", "x"]
@@ -886,7 +887,8 @@ def test_cli_run_nan_state_exits_1(tmp_path, monkeypatch, capsys):
 
 def test_cli_check_cp_nan_eigenvalue_exits_1(tmp_path, monkeypatch, capsys):
     def nan_check(choi, tol):
-        return CpCheckResult(False, math.nan, np.full(choi.matrix.shape[0], math.nan), tol)
+        return CpCheckResult(False, math.nan, np.full(choi.matrix.shape[0], math.nan), tol,
+                             0.0)
 
     monkeypatch.setattr(cli, "is_completely_positive", nan_check)
     p = write_scenario(tmp_path, gksl_scenario(tmp_path))

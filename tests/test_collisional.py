@@ -7,6 +7,7 @@ import pytest
 
 import decohere.collisional
 from decohere import (
+    DensityMatrix,
     GasSpec,
     GaussianMomentumLaw,
     PositionDensityMatrix,
@@ -194,6 +195,29 @@ def test_position_state_validation():
         PositionDensityMatrix([0.0, 1.0], np.diag([0.5, 0.5 + 1e-9]))
     with pytest.raises(ValidationError, match="negative eigenvalue -1.000e-09"):
         PositionDensityMatrix([0.0, 1.0], np.array([[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]))
+    with pytest.raises(ValidationError, match="grid has 3 points"):
+        PositionDensityMatrix([0.0, 1.0, 2.0], np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("grid", [[], [[0.0, 1.0]], [0.0, math.nan], [0.0, math.inf],
+                                  [0.0, 0.0], [0.0, 2.0, 1.0]],
+                         ids=["empty", "2-d", "nan", "inf", "repeated", "unsorted"])
+def test_position_state_rejects_a_bad_grid_at_construction(grid):
+    n = max(np.size(grid), 1)
+    with pytest.raises(ValidationError, match="grid"):
+        PositionDensityMatrix(grid, np.eye(n) / n)
+
+
+def test_exact_states_share_the_checked_grid_and_check_each_matrix():
+    rho0 = PositionDensityMatrix.superposition([0.0, 1.0, 2.5])
+    states = evolve_exact(rho0, GaussianMomentumLaw(1.0, 1.0), [0.0, 0.5, 1.0])
+    assert all(state.grid is rho0.grid for state in states)
+    assert all(state.hermiticity_defect == DensityMatrix(state.matrix).hermiticity_defect
+               for state in states)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        rho0.with_matrix(np.array([[0.5, 0.0, 0.6], [0.0, 0.0, 0.0], [0.6, 0.0, 0.5]]))
+    with pytest.raises(ValidationError, match="grid has 3 points"):
+        rho0.with_matrix(np.eye(2) / 2)
 
 
 # ----------------------------------------------------------------------

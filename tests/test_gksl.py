@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGMA_X, random_density_matrix, random_generator, random_hermitian
+from helpers import (
+    SIGMA_X,
+    random_density_matrix,
+    random_generator,
+    random_hermitian,
+    reference_superoperator,
+)
 
 import decohere.gksl
 from decohere import (
@@ -156,6 +162,37 @@ def test_superoperator_annihilates_trace_row():
         s = to_superoperator(random_generator(rng, d, m)).matrix
         # vec(I)^dag S: the rate of change of the trace, which must vanish
         assert np.abs(vec(np.eye(d, dtype=complex)).conj() @ s).max() < 1e-12
+
+
+def _dense_kossakowski_generator(rng, d, n, skew=0.0):
+    """Hermitian H (plus ``skew`` times an anti-Hermitian part), n dense
+    complex Lindblad operators, and a dense complex Hermitian Kossakowski
+    matrix whose (0, 2) and (2, 0) entries are zero when n >= 3; PSD-ness is
+    irrelevant to the assembly."""
+    h = random_hermitian(rng, d, norm=rng.uniform(0.3, 3.0))
+    h = h + skew * 1j * random_hermitian(rng, d)
+    ops = tuple(rng.uniform(0.3, 2.0) / math.sqrt(d)
+                * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(n))
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = b + b.conj().T
+    if n >= 3:
+        a[0, 2] = a[2, 0] = 0.0
+    return GkslGenerator(h, ops, a, validate_psd=False)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 8, 12))
+def test_superoperator_matches_the_reference_assembly(d):
+    rng = np.random.default_rng(100 + d)
+    gens = [_dense_kossakowski_generator(rng, d, n) for n in range(5)]
+    gens.append(_dense_kossakowski_generator(rng, d, 3, skew=1e-11))
+    assert np.count_nonzero(gens[-1].hamiltonian - gens[-1].hamiltonian.conj().T)
+    trace_row = vec(np.eye(d, dtype=complex)).conj()
+    for gen in gens:
+        s = to_superoperator(gen).matrix
+        reference = reference_superoperator(gen)
+        bound = 1e-14 * max(1.0, float(np.abs(reference).max()))
+        assert np.abs(s - reference).max() <= bound
+        assert np.abs(trace_row @ s).max() <= bound
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ validation."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from decohere.cli import check_cp, run_scenario, validate_scenario
@@ -39,6 +40,18 @@ def test_damped_qubit_is_certified_cp_and_trace_preserving():
     # amplitude damping at rate 50, at the CLI's default --times
     scenario = validate_scenario(_load(SCENARIO_DIR / "gksl_damped_qubit.json"),
                                  for_check_cp=True)
+    report = check_cp(scenario, (0.1, 1.0, 10.0))
+    assert report.passed, report.violations
+    assert report.min_choi_eigenvalue >= -1e-8
+    assert report.trace_drift_max <= 1e-12
+
+
+def test_correlated_qutrit_is_certified_cp_and_trace_preserving():
+    # three non-commuting operators coupled by complex off-diagonal a_jk
+    scenario = validate_scenario(_load(SCENARIO_DIR / "gksl_correlated_qutrit.json"),
+                                 for_check_cp=True)
+    assert scenario.system.dim == 3
+    assert np.count_nonzero(scenario.system.kossakowski.imag) > 0
     report = check_cp(scenario, (0.1, 1.0, 10.0))
     assert report.passed, report.violations
     assert report.min_choi_eigenvalue >= -1e-8
