@@ -26,6 +26,9 @@ The spectral integrals gamma, Gamma and the real and imaginary parts of
 the bath correlation alpha differ only in their weight, J or J coth, and
 their kernel k(w, t); each is one entry of ``_KERNELS``, which both the
 panel rule and its QUADPACK fallback read on (0, cutoff); at zero coupling each is 0.
+The panel rule folds the weight and the kernel's t-independent factor into
+its Gauss weights once per layout, so each integral costs one sin or cos
+per node.
 """
 
 from __future__ import annotations
@@ -68,22 +71,19 @@ def _from_zero(t: float, integral) -> float:
     return 0.0 if t == 0.0 else integral()
 
 
-def _half_angle(a, w, t):
-    # (1 - cos(w t))/w^2 = 2 (sin(w t/2)/w)^2, free of cancellation
-    half = np.sin(0.5 * t * w) / w
-    return a * 2.0 * half * half
-
-
 # Every spectral integral is the integral over w in (0, inf) of a weight,
-# J(w) coth(beta w/2) (thermal) or J(w), times a kernel k(w, t), as
-# kind: (thermal, kernel, (trig, m)).  kernel(a, w, t) multiplies the
-# weight a by k(w, t) without cancellation at w > 0; (trig, m) is the same
-# k as trig(w t) / w^m, the form integrate_oscillatory takes.
+# J(w) coth(beta w/2) (thermal) or J(w), times a kernel
+# k(w, t) = c o(w, t) / w^m, as kind: (thermal, c, o, (trig, m)).
+# The panel rule folds c / w^m into its weights once per layout and
+# evaluates only o, one sin or cos per node, at each t; the head of the
+# QUADPACK fallback evaluates the whole kernel, and (trig, m) is the same
+# k as trig(w t) / w^m, the form integrate_oscillatory takes.  No o
+# cancels at w > 0: 1 - cos(w t) is written as 2 sin(w t/2)^2.
 _KERNELS = {
-    "gamma": (True, lambda a, w, t: a * np.sin(t * w) / w, ("sin", 1)),
-    "Gamma": (True, _half_angle, ("1-cos", 2)),
-    "Re alpha": (True, lambda a, w, t: a * np.cos(t * w), ("cos", 0)),
-    "Im alpha": (False, lambda a, w, t: a * np.sin(t * w), ("sin", 0)),
+    "gamma": (True, 1.0, lambda w, t: np.sin(t * w), ("sin", 1)),
+    "Gamma": (True, 2.0, lambda w, t: np.sin(0.5 * t * w) ** 2, ("1-cos", 2)),
+    "Re alpha": (True, 1.0, lambda w, t: np.cos(t * w), ("cos", 0)),
+    "Im alpha": (False, 1.0, lambda w, t: np.sin(t * w), ("sin", 0)),
 }
 
 
@@ -222,17 +222,26 @@ class DephasingModel:
     # -- spectral integrals ------------------------------------------------
     #
     # Each integral over w reads one _KERNELS entry, through the panel rule
-    # with the weight as an array or, on fallback, integrate_oscillatory
-    # with the scalar weight, on the one range (0, cutoff).
-    # The panels are no wider than pi/t, so that each holds at most half a
-    # period of the kernel; their width is wc / 2^k, which changes only
-    # when t doubles, so a model builds each layout, with its nodes,
-    # weights and the t-independent panel weight at its nodes, once.
+    # with the weight folded into the layout or, on fallback,
+    # integrate_oscillatory with the scalar weight, on the one range
+    # (0, cutoff).
+    #
+    # The panels are as wide as the 12-node Gauss-Legendre rule reaches.
+    # On a panel of length L its remainder is L^25 (12!)^4 / (25 (24!)^3)
+    # max|f^(24)|, 8.8e-39 L^25 max|f^(24)|.  For f = e^(i t w) and
+    # L = 2 pi/t, one period of the kernel, that is (2 pi)^24 8.8e-39 =
+    # 1.3e-19 of L; for f = e^(-w/wc) and L = 4 wc it is 4^24 8.8e-39 =
+    # 2.5e-24 of L, and for their product on L <= min(2 pi/t, 4 wc),
+    # |i t - 1/wc| L <= (4 pi^2 + 16)^(1/2) gives 7.5e-18 of L.  So panels
+    # are at most 2 pi/t and 4 wc wide: 4 wc / 2^k for the smallest k >= 0
+    # that keeps them at most 2 pi/t.  That width changes only when t
+    # doubles, so a model builds each layout, its nodes, and each kernel's
+    # t-independent factors folded into its weights, once.
 
     @cached_property
     def _layouts(self) -> dict:
-        """(thermal, k) -> (PanelLayout, its panel weight) for panels of
-        width wc / 2^k; filled by :meth:`_panel_layout`."""
+        """(thermal, k) -> {kind: folded PanelLayout} for panels of width
+        4 wc / 2^k; filled by :meth:`_panel_layout`."""
         return {}
 
     def _panel_weight(self, w: np.ndarray, thermal: bool) -> np.ndarray:
@@ -244,28 +253,44 @@ class DephasingModel:
             return envelope
         return envelope * (self.bath.thermal_weight(w) if thermal else w)
 
-    def _panel_layout(self, thermal: bool, t: float, head_width: float):
-        """(layout, panel weight at its nodes) for the integrals at t, with
-        panels of width wc / 2^k for the smallest k >= 0 that keeps them no
-        wider than pi/t; (None, None) when no layout fits max_subdivisions.
-        When that width needs too many panels but pi/t does not, the pi/t
-        layout is built for this call alone."""
-        wc = self.spectral.omega_c
-        limit = math.pi / t if t > 0 else math.inf
+    def _folded_layouts(self, kinds, width: float, head_width: float) -> dict | None:
+        """{kind: layout} on panels no wider than ``width`` for the kinds
+        of one weight, with the weight J / w^p or J coth / w^p and the
+        kernel's c w^(-m) folded into the Gauss weights; None when the
+        panels would outnumber max_subdivisions."""
+        thermal = _KERNELS[kinds[0]][0]
+        layout = panel_layout(self._panel_rule, self.cutoff, width,
+                              self.quadrature.max_subdivisions, head_width=head_width)
+        if layout is None:
+            return None
+        weighted = layout.folded(self._panel_weight(layout.nodes, thermal))
+        folded = {}
+        for kind in kinds:
+            _, c, _, (_, m) = _KERNELS[kind]
+            folded[kind] = weighted.folded(c / layout.nodes**m)
+        return folded
+
+    def _panel_layout(self, kind: str, t: float, head_width: float):
+        """The folded layout of ``kind`` for the integral at t, with panels
+        of width 4 wc / 2^k for the smallest k >= 0 that keeps them no wider
+        than 2 pi/t; None when no layout fits max_subdivisions.  When that
+        width needs too many panels but 2 pi/t does not, the 2 pi/t layout
+        is built for this call alone."""
+        thermal = _KERNELS[kind][0]
+        width = 4.0 * self.spectral.omega_c
+        limit = 2 * math.pi / t if t > 0 else math.inf
         k = 0
-        while wc / 2**k > limit:
+        while width / 2**k > limit:
             k += 1
         key = (thermal, k)
         if key not in self._layouts:
-            budget = self.quadrature.max_subdivisions
-            layout = panel_layout(self._panel_rule, self.cutoff, wc / 2**k, budget,
-                                  head_width=head_width)
-            if layout is None:  # too many panels: pi/t may need fewer, for this call alone
-                exact = panel_layout(self._panel_rule, self.cutoff, limit, budget,
-                                     head_width=head_width) if k else None
-                return exact, None if exact is None else self._panel_weight(exact.nodes, thermal)
-            self._layouts[key] = (layout, self._panel_weight(layout.nodes, thermal))
-        return self._layouts[key]
+            kinds = [name for name, entry in _KERNELS.items() if entry[0] == thermal]
+            folded = self._folded_layouts(kinds, width / 2**k, head_width)
+            if folded is None:  # too many panels: 2 pi/t may need fewer, for this call alone
+                exact = self._folded_layouts([kind], limit, head_width) if k else None
+                return None if exact is None else exact[kind]
+            self._layouts[key] = folded
+        return self._layouts[key][kind]
 
     def _spectral_integral(self, kind: str, t: float) -> float:
         """The integral ``kind`` of :data:`_KERNELS` at t >= 0, by the panel
@@ -273,17 +298,17 @@ class DephasingModel:
         :attr:`quadrature`."""
         if self.spectral.coupling == 0:  # J = 0, and so is every integral of it
             return 0.0
-        thermal, kernel, (trig, m) = _KERNELS[kind]
+        thermal, c, oscillation, (trig, m) = _KERNELS[kind]
         weight = self._thermal if thermal else self.spectral
         spec = self.quadrature
         # coth(beta w/2) has poles at w = 2 pi i k / beta
         pole_scale = math.inf if self.bath.zero_temperature else 2 * math.pi / self.bath.beta
-        layout, panel_weight = self._panel_layout(thermal, t, pole_scale)
-        value, _ = integrate_panels(  # g is called only at layout.nodes
-            lambda w: kernel(panel_weight, w, t), layout, spec,
+        value, _ = integrate_panels(  # g is called only at the layout's nodes
+            lambda w: oscillation(w, t), self._panel_layout(kind, t, pole_scale), spec,
             fallback=lambda: integrate_oscillatory(
                 lambda w: weight(w) / w**m, trig, t, self.cutoff, spec,
-                head=lambda w: kernel(weight(w), w, t), breakpoints=(pole_scale,),
+                head=lambda w: c * weight(w) * oscillation(w, t) / w**m,
+                breakpoints=(pole_scale,),
             ),
         )
         return value

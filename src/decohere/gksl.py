@@ -292,7 +292,10 @@ def semigroup_trajectory(gen: GkslGenerator, rho0: DensityMatrix, dt: float,
     states, v = [rho0], vec(rho0.matrix)
     for _ in range(n - 1):
         v = step @ v
-        states.append(DensityMatrix(unvec(v, rho0.dim), atol=1e-8))
+        try:
+            states.append(DensityMatrix(unvec(v, rho0.dim), atol=1e-8))
+        except ValidationError as exc:  # as _integrate does for an ODE state
+            raise InvariantViolationError(f"semigroup state drift exceeded 1e-08: {exc}") from exc
     return states
 
 

@@ -7,17 +7,20 @@ decaying integrand is cut off.
 (0, upper), for a power law w^p times a smooth g, by Gauss panels that
 :func:`panel_layout` lays out once: a Gauss-Jacobi head panel carries the
 weight w^p exactly, the panels after it double in width until they reach
-the caller's maximum width (at most pi/t for an integrand oscillating as
-sin/cos(w t)), and Gauss-Legendre panels of at most that width cover the
-rest.  A layout holds the nodes of an n- and a 2n-point rule on every
-panel and their weights, w^p included, and depends on no integrand, so a
-caller can keep it for every integral over the same panels.  g is
-evaluated once per integral, as one numpy array over the layout's nodes;
-the sum of the per-panel differences of the two rules, plus a roundoff
-floor, is the error estimate.  When that estimate misses max(abs_tol,
-rel_tol * |value|), the values are not finite, or there is no layout
-because the panels would outnumber ``max_subdivisions``, the caller's
-fallback computes the integral instead.
+the caller's maximum width (for an integrand oscillating as sin/cos(w t),
+at most one period 2 pi/t), and Gauss-Legendre panels of at most that
+width cover the rest.  A layout holds the nodes of an n- and a 2n-point
+rule on every panel and their weights, w^p included, and depends on no
+integrand, so a caller can keep it for every integral over the same
+panels.  A caller whose g is a fixed factor f times a varying one folds f
+into the weights once (:meth:`PanelLayout.folded`), so that each integral
+evaluates only the varying factor, as one numpy array over the layout's
+nodes; one matrix product gives each panel's two rule sums.  The sum of
+the per-panel differences of the two rules, plus a roundoff floor, is the
+error estimate.  When that estimate misses max(abs_tol, rel_tol *
+|value|), the values are not finite, or there is no layout because the
+panels would outnumber ``max_subdivisions``, the caller's fallback
+computes the integral instead.
 
 :func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
 bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
@@ -172,6 +175,15 @@ def integrate_oscillatory(
 # with a wide margin.
 PANEL_NODES = 12
 
+# Row terms @ _RULE_SUMS of a panel's terms: (upper rule's sum, upper's
+# minus lower's), every panel in one matrix product.
+_RULE_SUMS = np.concatenate([np.tile([0.0, -1.0], (PANEL_NODES, 1)),
+                             np.ones((2 * PANEL_NODES, 2))])
+
+# QUADPACK's roundoff floor: no rule resolves below 50 eps of the
+# integral of |w^p g|.
+_ROUNDOFF_FLOOR = 50 * np.finfo(float).eps
+
 
 def _gauss_rule(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule for the integral of
@@ -241,6 +253,12 @@ class PanelLayout:
     nodes: np.ndarray = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
 
+    def folded(self, factor: np.ndarray) -> PanelLayout:
+        """The layout with ``factor``, an array of values at its nodes,
+        multiplied into its weights: :func:`integrate_panels` then
+        integrates w^p factor(w) g(w)."""
+        return PanelLayout(self.upper, self.nodes, self.weights * factor)
+
 
 def panel_layout(rule: PanelRule, upper: float, max_width: float, max_panels: int, *,
                  head_width: float = math.inf) -> PanelLayout | None:
@@ -275,7 +293,8 @@ def integrate_panels(
     fallback: Callable[[], tuple[float, float]],
 ) -> tuple[float, float]:
     """Integrate w^p * g(w) over the layout's (0, upper) to (value,
-    error_estimate), for the power p of the rule it was built with.
+    error_estimate), for the power p of the rule it was built with (times
+    any factor folded into its weights).
 
     ``g`` maps the array of nodes (all > 0) to an array of values, entry
     by entry, and must be smooth on [0, upper]: its complex singularities
@@ -289,12 +308,9 @@ def integrate_panels(
     if layout is None:
         return fallback()
     terms = layout.weights * g(layout.nodes)
-    lo = terms[:, :PANEL_NODES].sum(axis=1)
-    hi = terms[:, PANEL_NODES:].sum(axis=1)
-    value = float(hi.sum())
-    # QUADPACK's roundoff floor: no rule resolves below 50 eps of the
-    # integral of |w^p g|.
-    err = float(np.abs(hi - lo).sum() + 50 * np.finfo(float).eps * np.abs(terms).sum())
+    sums = terms @ _RULE_SUMS
+    value = float(sums[:, 0].sum())
+    err = float(np.abs(sums[:, 1]).sum() + _ROUNDOFF_FLOOR * np.abs(terms).sum())
     if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
         return value, err
     return fallback()

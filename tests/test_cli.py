@@ -349,8 +349,8 @@ def test_run_dephasing_builds_its_generators_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("beta", ["inf", 2.0])
 def test_run_dephasing_builds_each_panel_layout_once(tmp_path, monkeypatch, beta):
-    # panels of width wc / 2^k for k = 0 .. ceil(log2(wc t_max / pi)): one
-    # layout, and one panel weight at its nodes, per weight kind and k
+    # panels of width 4 wc / 2^k <= 2 pi/t for k = 0 .. ceil(log2(2 wc t_max / pi)):
+    # one layout, and one panel weight at its nodes, per weight kind and k
     builds = {True: 0, False: 0}
     panel_weight = DephasingModel._panel_weight
     monkeypatch.setattr(DephasingModel, "_panel_weight", lambda model, w, thermal: (
@@ -361,7 +361,7 @@ def test_run_dephasing_builds_each_panel_layout_once(tmp_path, monkeypatch, beta
     raw["parameters"]["bath"]["beta"] = beta
     report = run_scenario(validate_scenario(raw))[2]
     assert report.passed
-    bound = 1 + math.ceil(math.log2(wc * t_max / math.pi))
+    bound = 1 + math.ceil(math.log2(2 * wc * t_max / math.pi))
     assert 1 <= builds[True] <= bound and builds[False] <= bound, (builds, bound)
 
 
@@ -671,6 +671,27 @@ def test_cli_ode_positivity_loss_exits_1(tmp_path, capsys):
     assert main(["run", str(write_scenario(tmp_path, raw))]) == 1
     assert capsys.readouterr().err.startswith(
         "error: invariant drift exceeded 1e-06: density matrix has negative eigenvalue ")
+
+
+def test_cli_semigroup_drift_exits_1(tmp_path, monkeypatch, capsys):
+    # the jump term sum_j conj(M_j) kron L_j scaled by 1.01 after G is taken:
+    # exp(t L) no longer keeps the trace, and the semigroup reference states
+    # fail their check as an invariant violation, not as invalid input
+    to_superoperator = decohere.gksl.to_superoperator
+
+    def drifting(gen):
+        d, n = gen.dim, len(gen.lindblad_ops)
+        ops = np.array(gen.lindblad_ops, dtype=complex).reshape(n, d * d)
+        m = gen.kossakowski.conj() @ ops  # row j: M_j
+        jump = (m.conj().T @ ops).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        jump = jump.reshape(d * d, d * d)
+        return decohere.gksl.Superoperator(to_superoperator(gen).matrix + 0.01 * jump)
+
+    monkeypatch.setattr(decohere.gksl, "to_superoperator", drifting)
+    monkeypatch.chdir(tmp_path)
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "gksl_correlated_qutrit.json"
+    assert main(["run", str(scenario)]) == 1
+    assert capsys.readouterr().err.startswith("error: semigroup state drift exceeded 1e-08: ")
 
 
 def test_cli_violation_exits_1(tmp_path):

@@ -559,54 +559,56 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, s):
 
 def _by_width(model, kind, t, width):
     """The panel rule for the integral ``kind`` at t on panels no wider than
-    ``width``, laid out for this call alone: (value, integral of |w^p g|),
-    or None where the rule would fall back."""
-    thermal, kernel, _ = _KERNELS[kind]
-    spec = model.quadrature
+    ``width``, laid out and folded for this call alone: (value, integral of
+    |w^p g|), or None where the rule would fall back."""
+    oscillation = _KERNELS[kind][2]
     pole_scale = math.inf if model.bath.zero_temperature else 2 * math.pi / model.bath.beta
-    layout = panel_layout(model._panel_rule, model.cutoff, width, spec.max_subdivisions,
-                          head_width=pole_scale)
-    terms = []
+    folded = model._folded_layouts([kind], width, pole_scale)
+    if folded is None:  # too many panels
+        return None
+    layout, terms = folded[kind], []
 
     def g(w):
-        values = kernel(model._panel_weight(w, thermal), w, t)
+        values = oscillation(w, t)
         terms.append(np.abs(layout.weights * values).sum())
         return values
 
-    value, _ = integrate_panels(g, layout, spec, fallback=lambda: (None, None))
+    value, _ = integrate_panels(g, layout, model.quadrature, fallback=lambda: (None, None))
     return None if value is None else (value, float(terms[0]))
 
 
 @pytest.mark.parametrize("beta", [math.inf, 0.7, 20.0])
 @pytest.mark.parametrize("s, wc", [(0.3, 1.0), (1.0, 5.0), (3.5, 0.4)])
 def test_cached_layouts_keep_the_per_call_values_up_to_pi_over_wc(s, wc, beta):
-    # for t <= pi/wc the cached layout is the per-call one (width wc), so
-    # every value is the same float
+    # for t <= pi/(2 wc) the cached layout is the per-call one (width
+    # 4 wc = min(2 pi/t, 4 wc)), so every value is the same float
     model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(beta))
-    times = [*np.geomspace(1e-3, math.pi / wc, 12), math.pi / wc]
+    cap = math.pi / (2 * wc)
+    times = [*np.geomspace(1e-3, cap, 12), cap]
     for kind in _KERNELS:
         for t in ([0.0] if "alpha" in kind else []) + times:
-            want = _by_width(model, kind, t, min(math.pi / t, wc) if t > 0 else wc)
+            width = min(2 * math.pi / t, 4 * wc) if t > 0 else 4 * wc
+            want = _by_width(model, kind, t, width)
             assert want is not None and model._spectral_integral(kind, t) == want[0], (kind, t)
 
 
 def test_quantized_layouts_match_the_exact_width():
-    # Draws over the ranges of the fallback parity sample, at t > pi/wc.
-    # Layouts of width wc / 2^k and min(pi/t, wc) sum different nodes, so
-    # their values differ by roundoff, which scales with the integral of
-    # |w^p g| (up to 1e4 here) rather than with the value.
+    # Draws over the ranges of the fallback parity sample, at t > pi/(2 wc).
+    # Layouts of width 4 wc / 2^k and min(2 pi/t, 4 wc) sum different
+    # nodes, so their values differ by roundoff, which scales with the
+    # integral of |w^p g| (up to 1e4 here) rather than with the value.
     rng = np.random.default_rng(7)
     compared = total = 0
     while total < 400:
         lam, s, wc = rng.uniform(0.01, 3.0), rng.uniform(0.05, 4.0), rng.uniform(0.2, 10.0)
         beta = math.inf if rng.random() < 0.25 else math.exp(rng.uniform(-3.5, 4.6))
         t = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
-        if t <= math.pi / wc:
+        if t <= math.pi / (2 * wc):
             continue
         model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
         for kind in _KERNELS:
             total += 1
-            exact = _by_width(model, kind, t, math.pi / t)
+            exact = _by_width(model, kind, t, 2 * math.pi / t)
             if exact is None:
                 continue
             compared += 1
@@ -616,9 +618,9 @@ def test_quantized_layouts_match_the_exact_width():
     assert compared >= total // 2
 
 
-def test_zero_temperature_sweep_falls_back_no_more_than_per_call_layouts(monkeypatch):
-    # 40 of these 1000 integrals fall back with a layout per call (wc = 5,
-    # t >= 35, where 40 wc t / pi exceeds the 2048-panel budget)
+def _count_fallbacks(monkeypatch):
+    """A list that gains one entry per QUADPACK fallback of the spectral
+    integrals."""
     fallbacks = []
     oscillatory = decohere.dephasing.integrate_oscillatory
 
@@ -627,13 +629,48 @@ def test_zero_temperature_sweep_falls_back_no_more_than_per_call_layouts(monkeyp
         return oscillatory(*args, **kwargs)
 
     monkeypatch.setattr(decohere.dephasing, "integrate_oscillatory", counted)
+    return fallbacks
+
+
+def test_zero_temperature_sweep_falls_back_no_more_than_per_call_layouts(monkeypatch):
+    # none of these 1000 integrals falls back: at wc = 5 and t = 50 a
+    # layout of width 2 pi/t needs 40 wc t / (2 pi) = 1592 of the 2048 panels
+    fallbacks = _count_fallbacks(monkeypatch)
     for s in (0.3, 0.5, 1.0, 2.0, 3.5):
         for wc in (1.0, 5.0):
             model = DephasingModel(0.0, SpectralDensity(0.7, s, wc), BathSpec(math.inf))
             for t in np.geomspace(0.01, 50.0, 25):
                 for kind in _KERNELS:
                     model._spectral_integral(kind, float(t))
-    assert len(fallbacks) <= 40
+    assert len(fallbacks) == 0
+
+
+def test_finite_temperature_scan_falls_back_only_without_a_layout(monkeypatch):
+    # 7 s x 3 wc x 4 beta x 15 t x 4 kinds; coupling 0.5 / Gamma(s) keeps the
+    # integral of J, 0.5 s wc^2, moderate.  Only where even panels 2 pi/t
+    # wide outnumber max_subdivisions does the rule fall back: at s = 20 and
+    # wc = 5 the derived cutoff is 72 wc, 2869 such panels at t = 50, so at
+    # most 4 beta x 4 kinds = 16 integrals.  Every 7th integral is checked
+    # against the QUADPACK route.
+    fallbacks, sampled = _count_fallbacks(monkeypatch), []
+    for s in (0.3, 0.5, 1.0, 2.0, 3.0, 6.0, 20.0):
+        for wc in (0.2, 1.0, 5.0):
+            for beta in (0.05, 0.5, 2.0, 20.0):
+                model = DephasingModel(0.0, SpectralDensity(0.5 / math.gamma(s), s, wc),
+                                       BathSpec(beta))
+                for t in np.geomspace(0.01, 50.0, 15):
+                    t, before = float(t), len(fallbacks)
+                    for kind in _KERNELS:
+                        sampled.append((model, kind, t, model._spectral_integral(kind, t)))
+                    if len(fallbacks) > before:
+                        assert panel_layout(model._panel_rule, model.cutoff, 2 * math.pi / t,
+                                            model.quadrature.max_subdivisions,
+                                            head_width=2 * math.pi / beta) is None
+    assert len(sampled) == 5040 and len(fallbacks) <= 16
+    with _quadpack_route():
+        for model, kind, t, value in sampled[::7]:
+            want = model._spectral_integral(kind, t)
+            assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (model, kind, t)
 
 
 def test_spectral_prefactor_overflow_is_rejected():

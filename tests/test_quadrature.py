@@ -172,6 +172,13 @@ def test_integrate_panels_against_closed_forms(power, t):
     assert abs(v_sin - exact.imag) < 1e-12
     assert abs(v_cos - exact.real) < 1e-12
     assert err < 1e-10
+    # the same integrals with the t-independent e^(-w) folded into the weights
+    folded = layout.folded(np.exp(-layout.nodes))
+    v_sin, err = integrate_panels(lambda w: np.sin(t * w), folded, fallback=_no_fallback)
+    v_cos, _ = integrate_panels(lambda w: np.cos(t * w), folded, fallback=_no_fallback)
+    assert abs(v_sin - exact.imag) < 1e-12
+    assert abs(v_cos - exact.real) < 1e-12
+    assert err < 1e-10
 
 
 def test_integrate_panels_falls_back():
