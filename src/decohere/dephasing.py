@@ -28,7 +28,12 @@ their kernel k(w, t); each is one entry of ``_KERNELS``, which both the
 panel rule and its QUADPACK fallback read on (0, cutoff); at zero coupling each is 0.
 The panel rule folds the weight and the kernel's t-independent factor into
 its Gauss weights once per layout, so each integral costs one sin or cos
-per node.
+per node.  The integrals take an array of t, and the t that share a layout
+are summed in one numpy pass: a run evaluates its grid's gamma and Gamma
+columns in one call each, the rates of each Runge-Kutta step in one call
+over its stage times, and each Gauss-Kronrod rule of the two-form
+cross-checks (gamma = integral of Re alpha, Gamma = integral of gamma over
+tau) in one call over its taus.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .numcore import (
     OdeSpec,
     PanelRule,
     QuadratureSpec,
-    integrate_adaptive,
+    integrate_gauss_kronrod,
     integrate_oscillatory,
     integrate_panels,
     panel_layout,
@@ -62,13 +67,6 @@ _CROSS_CHECK_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-11)
 
 # log of the largest float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _from_zero(t: float, integral) -> float:
-    """integral(), for a quantity of t >= 0 that vanishes at t = 0."""
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    return 0.0 if t == 0.0 else integral()
 
 
 # Every spectral integral is the integral over w in (0, inf) of a weight,
@@ -241,8 +239,15 @@ class DephasingModel:
     @cached_property
     def _layouts(self) -> dict:
         """(thermal, k) -> {kind: folded PanelLayout} for panels of width
-        4 wc / 2^k; filled by :meth:`_panel_layout`."""
+        4 wc / 2^k, or None where they would outnumber max_subdivisions;
+        filled by :meth:`_panel_layout`."""
         return {}
+
+    @cached_property
+    def _pole_scale(self) -> float:
+        """2 pi/beta, the spacing of the poles of coth(beta w/2) at w = 2 pi
+        i k/beta (inf at T = 0): the head width of every layout."""
+        return math.inf if self.bath.zero_temperature else 2 * math.pi / self.bath.beta
 
     def _panel_weight(self, w: np.ndarray, thermal: bool) -> np.ndarray:
         """J(w) coth(beta w/2) / w^p (thermal) or J(w) / w^p for the panel
@@ -270,53 +275,102 @@ class DephasingModel:
             folded[kind] = weighted.folded(c / layout.nodes**m)
         return folded
 
-    def _panel_layout(self, kind: str, t: float, head_width: float):
-        """The folded layout of ``kind`` for the integral at t, with panels
-        of width 4 wc / 2^k for the smallest k >= 0 that keeps them no wider
-        than 2 pi/t; None when no layout fits max_subdivisions.  When that
-        width needs too many panels but 2 pi/t does not, the 2 pi/t layout
-        is built for this call alone."""
+    @cached_property
+    def _key_bounds(self) -> np.ndarray:
+        """T_k for k = 0 .. 1023: the largest t at which 4 wc / 2^k <=
+        2 pi/t holds, compared in floats.  2 pi/t does not grow with t, so
+        the comparison holds exactly for t <= T_k; each T_k is stepped, one
+        float at a time, from the estimate 2 pi 2^k / (4 wc)."""
+        widths = np.ldexp(4.0 * self.spectral.omega_c, -np.arange(1024))
+        with np.errstate(divide="ignore", over="ignore"):
+            bounds = 2 * math.pi / widths
+            while not (fits := widths <= 2 * math.pi / bounds).all():
+                bounds = np.where(fits, bounds, np.nextafter(bounds, 0.0))
+            while True:
+                above = np.nextafter(bounds, math.inf)
+                up = (above > bounds) & (widths <= 2 * math.pi / above)
+                if not up.any():
+                    return bounds
+                bounds = np.where(up, above, bounds)
+
+    def _layout_keys(self, t: np.ndarray) -> np.ndarray:
+        """For each t >= 0, the smallest k >= 0 with 4 wc / 2^k <= 2 pi/t
+        (0 at t = 0): the number of :attr:`_key_bounds` below t."""
+        return np.searchsorted(self._key_bounds, t)
+
+    def _panel_layout(self, kind: str, k: int):
+        """The folded layout of ``kind`` on panels of width 4 wc / 2^k,
+        built once for every kind of its weight; None when it would need
+        more than max_subdivisions panels."""
         thermal = _KERNELS[kind][0]
-        width = 4.0 * self.spectral.omega_c
-        limit = 2 * math.pi / t if t > 0 else math.inf
-        k = 0
-        while width / 2**k > limit:
-            k += 1
         key = (thermal, k)
         if key not in self._layouts:
             kinds = [name for name, entry in _KERNELS.items() if entry[0] == thermal]
-            folded = self._folded_layouts(kinds, width / 2**k, head_width)
-            if folded is None:  # too many panels: 2 pi/t may need fewer, for this call alone
-                exact = self._folded_layouts([kind], limit, head_width) if k else None
-                return None if exact is None else exact[kind]
-            self._layouts[key] = folded
-        return self._layouts[key][kind]
+            self._layouts[key] = self._folded_layouts(
+                kinds, 4.0 * self.spectral.omega_c / 2**k, self._pole_scale)
+        folded = self._layouts[key]
+        return None if folded is None else folded[kind]
 
-    def _spectral_integral(self, kind: str, t: float) -> float:
-        """The integral ``kind`` of :data:`_KERNELS` at t >= 0, by the panel
-        rule, or by one QUADPACK route when the rule's estimate misses
-        :attr:`quadrature`."""
+    def _spectral_integral(self, kind: str, t):
+        """The integral ``kind`` of :data:`_KERNELS` at t >= 0, a float or
+        an array (the result has its shape).  At t = 0 a kernel that
+        vanishes there is 0 at every node, so its integral is exactly 0.
+
+        The t that share a cached layout are integrated in one numpy pass.
+        Where that layout would need more than max_subdivisions panels but
+        panels 2 pi/t wide do not, a t gets a layout of its own; a t with
+        neither, or whose estimate misses :attr:`quadrature`, takes one
+        QUADPACK route alone."""
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        if not (flat >= 0).all():
+            raise ValidationError("t must be >= 0")
+        if np.isinf(flat).any():
+            raise ValidationError("t must be finite")
+        out = np.zeros(flat.shape)
         if self.spectral.coupling == 0:  # J = 0, and so is every integral of it
-            return 0.0
+            return out.reshape(times.shape) if times.ndim else 0.0
+        keys = self._layout_keys(flat)
+        for k in np.unique(keys).tolist():
+            rows = keys == k
+            layout = self._panel_layout(kind, k)
+            if layout is not None:
+                out[rows] = self._panel_integrals(kind, layout, flat[rows])
+                continue
+            for i in np.flatnonzero(rows):  # too many panels: 2 pi/t may need fewer, for this t alone
+                exact = self._folded_layouts([kind], 2 * math.pi / flat[i],
+                                             self._pole_scale) if k else None
+                layout = None if exact is None else exact[kind]
+                out[i] = self._panel_integrals(kind, layout, flat[i:i + 1])[0]
+        return out.reshape(times.shape) if times.ndim else float(out[0])
+
+    def _panel_integrals(self, kind: str, layout, times: np.ndarray) -> np.ndarray:
+        """The integral ``kind`` at each of ``times`` by the panel rule on
+        ``layout``, or by QUADPACK for each t whose estimate misses (for
+        every t when the layout is None)."""
         thermal, c, oscillation, (trig, m) = _KERNELS[kind]
         weight = self._thermal if thermal else self.spectral
         spec = self.quadrature
-        # coth(beta w/2) has poles at w = 2 pi i k / beta
-        pole_scale = math.inf if self.bath.zero_temperature else 2 * math.pi / self.bath.beta
-        value, _ = integrate_panels(  # g is called only at the layout's nodes
-            lambda w: oscillation(w, t), self._panel_layout(kind, t, pole_scale), spec,
-            fallback=lambda: integrate_oscillatory(
+
+        def quadpack(rows=None):
+            pairs = [integrate_oscillatory(
                 lambda w: weight(w) / w**m, trig, t, self.cutoff, spec,
-                head=lambda w: c * weight(w) * oscillation(w, t) / w**m,
-                breakpoints=(pole_scale,),
-            ),
-        )
-        return value
+                head=lambda w, t=t: c * weight(w) * oscillation(w, t) / w**m,
+                breakpoints=(self._pole_scale,),
+            ) for t in (times if rows is None else times[rows]).tolist()]
+            return np.array(pairs).reshape(-1, 2).T
+
+        # g is called only at the layout's nodes
+        return integrate_panels(lambda w: oscillation(w, times[:, None, None]), layout, spec,
+                                fallback=quadpack)[0]
 
     def _tau_integral(self, f, t: float) -> float:
         """Integral of f(tau) over (0, t): the outer integral of the
-        two-form cross-checks."""
-        return _from_zero(t, lambda: integrate_adaptive(f, 0.0, t, _CROSS_CHECK_SPEC)[0])
+        two-form cross-checks, by Gauss-Kronrod bisection that hands f the
+        42 taus of each bisected interval as one array."""
+        if t < 0:
+            raise ValidationError("t must be >= 0")
+        return integrate_gauss_kronrod(f, 0.0, t, _CROSS_CHECK_SPEC)[0]
 
     # -- bath correlation function -------------------------------------
 
@@ -332,9 +386,10 @@ class DephasingModel:
 
     # -- dephasing rate gamma(t) ----------------------------------------
 
-    def dephasing_rate(self, t: float) -> float:
-        """gamma(t) = integral of J(w) coth(beta w/2) sin(w t)/w dw."""
-        return _from_zero(t, lambda: self._spectral_integral("gamma", t))
+    def dephasing_rate(self, t):
+        """gamma(t) = integral of J(w) coth(beta w/2) sin(w t)/w dw, at a
+        float t or at each t of an array."""
+        return self._spectral_integral("gamma", t)
 
     def dephasing_rate_from_correlation(self, t: float) -> float:
         """Independent route: integral of Re alpha(tau) for tau in (0, t)."""
@@ -342,9 +397,10 @@ class DephasingModel:
 
     # -- decoherence function Gamma(t) ----------------------------------
 
-    def decoherence_function(self, t: float) -> float:
-        """Gamma(t) = integral of J(w) coth(beta w/2) (1 - cos(w t))/w^2 dw."""
-        return _from_zero(t, lambda: self._spectral_integral("Gamma", t))
+    def decoherence_function(self, t):
+        """Gamma(t) = integral of J(w) coth(beta w/2) (1 - cos(w t))/w^2 dw,
+        at a float t or at each t of an array."""
+        return self._spectral_integral("Gamma", t)
 
     def decoherence_function_from_rate(self, t: float) -> float:
         """Independent route: integral of gamma(tau) for tau in (0, t)."""
@@ -443,10 +499,13 @@ def run(model: DephasingModel, rho0: DensityMatrix, t_grid, ode: OdeSpec | None)
     # the Runge-Kutta stages with a negative rate, reported as one warning
     negative_at = []
 
-    def rate(t):
-        gamma = model.dephasing_rate(t)
-        if gamma < 0:
-            negative_at.append(t)
+    def rate(times):
+        gamma = model.dephasing_rate(times)
+        negative_at.extend(times[gamma < 0].tolist())
+        # a step evaluates its rhs twice at the last of its stage times,
+        # t + h: as its sixth stage and as the derivative at its end
+        if times.size > 1 and gamma[-1] < 0:
+            negative_at.append(float(times[-1]))
         return gamma
 
     trajectory = integrate_time_dependent(*model.generator_parts, rate, rho0, t_grid, ode)
@@ -458,10 +517,11 @@ def run(model: DephasingModel, rho0: DensityMatrix, t_grid, ode: OdeSpec | None)
             NegativeRateWarning,
         )
 
-    for i, (t, state) in enumerate(zip(t_grid, trajectory)):
-        t, m = float(t), state.matrix
-        gamma = model.dephasing_rate(t)
-        big_gamma = model.decoherence_function(t)
+    t_grid = np.asarray(t_grid, dtype=float)
+    columns = zip(t_grid.tolist(), trajectory, model.dephasing_rate(t_grid).tolist(),
+                  model.decoherence_function(t_grid).tolist())
+    for i, (t, state, gamma, big_gamma) in enumerate(columns):
+        m = state.matrix
         coh = model.coherence(rho0, t, big_gamma)
         residuals = {
             "coherence_abs_analytic_vs_ode": abs(abs(coh) - abs(m[0, 1])),

@@ -361,21 +361,32 @@ def integrate_constant(
 def integrate_time_dependent(
     fixed: GkslGenerator,
     varying: GkslGenerator,
-    rate: Callable[[float], float],
+    rate: Callable[[np.ndarray], np.ndarray],
     rho0: DensityMatrix,
     t_grid,
     spec: OdeSpec | None = None,
 ) -> list[DensityMatrix]:
     """Integrate d rho/dt = (L_fixed + rate(t) L_varying) rho, with both parts
-    assembled once as :func:`integrate_constant` does and ``rate`` evaluated
-    at every internal Runge-Kutta stage time (no interpolation of rates)."""
+    assembled once as :func:`integrate_constant` does.  ``rate`` maps an
+    array of times to the array of their rates (a constant broadcasts).  It
+    is evaluated at every Runge-Kutta stage time, with no interpolation of
+    rates: in one batch per attempted step, over the stage times that
+    :func:`numcore.ode_solve` hands its ``before_step`` hook, which the
+    right-hand side then reads back."""
     (a0, a1), apply = _actions([fixed, varying], rho0.dim)
-    return _integrate(lambda t, v: apply(a0 + rate(t) * a1, v), rho0, t_grid, spec)
+    rates = {}
+
+    def before_step(times):
+        rates.clear()
+        rates.update(zip(times.tolist(), np.broadcast_to(rate(times), times.shape).tolist()))
+
+    return _integrate(lambda t, v: apply(a0 + rates[t] * a1, v), rho0, t_grid, spec,
+                      before_step=before_step)
 
 
-def _integrate(rhs, rho0, t_grid, spec) -> list[DensityMatrix]:
+def _integrate(rhs, rho0, t_grid, spec, *, before_step=None) -> list[DensityMatrix]:
     """Integrate d vec(rho)/dt = rhs(t, vec(rho)) and check the invariants."""
-    states = numcore.ode_solve(rhs, vec(rho0.matrix), t_grid, spec)
+    states = numcore.ode_solve(rhs, vec(rho0.matrix), t_grid, spec, before_step=before_step)
     try:
         return [DensityMatrix(unvec(row, rho0.dim), atol=DRIFT_ERROR_THRESHOLD)
                 for row in states]

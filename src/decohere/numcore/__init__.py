@@ -22,6 +22,7 @@ from .quadrature import (
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
+    integrate_gauss_kronrod,
     integrate_oscillatory,
     integrate_panels,
     panel_layout,
@@ -39,6 +40,7 @@ __all__ = [
     "hermitian_spectrum",
     "hermiticity_defect",
     "integrate_adaptive",
+    "integrate_gauss_kronrod",
     "integrate_oscillatory",
     "integrate_panels",
     "matrix_exp",

@@ -15,16 +15,25 @@ integrand, so a caller can keep it for every integral over the same
 panels.  A caller whose g is a fixed factor f times a varying one folds f
 into the weights once (:meth:`PanelLayout.folded`), so that each integral
 evaluates only the varying factor, as one numpy array over the layout's
-nodes; one matrix product gives each panel's two rule sums.  The sum of
-the per-panel differences of the two rules, plus a roundoff floor, is the
+nodes; one matrix product gives each panel's two rule sums.  g may also
+return a stack of integrands, one per leading index (say, one per t), and
+all of them are summed in the same numpy pass.  The sum of the per-panel
+differences of the two rules, plus a roundoff floor, is each integral's
 error estimate.  When that estimate misses max(abs_tol, rel_tol *
 |value|), the values are not finite, or there is no layout because the
 panels would outnumber ``max_subdivisions``, the caller's fallback
-computes the integral instead.
+computes that integral instead.
 
-:func:`integrate_adaptive` hands the integrand to adaptive Gauss-Kronrod
-bisection (QUADPACK).  :func:`integrate_oscillatory`, the fallback of the
-spectral integrals, takes an envelope times sin(t w), cos(t w) or
+:func:`integrate_gauss_kronrod` is adaptive Gauss-Kronrod 10/21 bisection
+with QUADPACK's ``qk21`` nodes, weights and error estimate, for an
+integrand that maps an array of abscissae to an array of values: it hands
+the integrand all 42 abscissae of an interval's two halves at once.  It
+has no extrapolation, so its values can differ from QUADPACK's within the
+tolerance.
+
+:func:`integrate_adaptive` hands a scalar integrand to QUADPACK's adaptive
+Gauss-Kronrod bisection.  :func:`integrate_oscillatory`, the fallback of
+the spectral integrals, takes an envelope times sin(t w), cos(t w) or
 1 - cos(t w) over (0, upper): the product on the first stretch up to 1/t,
 split at the caller's breakpoints, then the trigonometric weight handed to
 an adaptive Clenshaw-Curtis rule.
@@ -290,8 +299,8 @@ def integrate_panels(
     layout: PanelLayout | None,
     spec: QuadratureSpec | None = None,
     *,
-    fallback: Callable[[], tuple[float, float]],
-) -> tuple[float, float]:
+    fallback: Callable[..., tuple],
+) -> tuple:
     """Integrate w^p * g(w) over the layout's (0, upper) to (value,
     error_estimate), for the power p of the rule it was built with (times
     any factor folded into its weights).
@@ -303,14 +312,115 @@ def integrate_panels(
     (too many panels), the estimate exceeds max(abs_tol, rel_tol *
     |value|), or the values are not finite, the result of ``fallback()``
     is returned instead.
+
+    ``g`` may instead return a stack of n integrands, shape ``(n,
+    *nodes.shape)``.  value and error_estimate are then arrays of n, and
+    the integrands ``rows`` (an index array) that miss their estimate take
+    ``fallback(rows)``, a pair of arrays over ``rows``; ``fallback()``
+    still answers for every integrand when there is no layout.
     """
     spec = spec or DEFAULT_QUADRATURE
     if layout is None:
         return fallback()
     terms = layout.weights * g(layout.nodes)
     sums = terms @ _RULE_SUMS
-    value = float(sums[:, 0].sum())
-    err = float(np.abs(sums[:, 1]).sum() + _ROUNDOFF_FLOOR * np.abs(terms).sum())
-    if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-        return value, err
-    return fallback()
+    value = sums[..., 0].sum(axis=-1)
+    err = np.abs(sums[..., 1]).sum(axis=-1) + _ROUNDOFF_FLOOR * np.abs(terms).sum(axis=(-2, -1))
+    met = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    if value.ndim == 0:
+        return (float(value), float(err)) if met else fallback()
+    if not met.all():
+        missed = np.flatnonzero(~met)
+        value[missed], err[missed] = fallback(missed)
+    return value, err
+
+
+# QUADPACK's qk21 (dqk21.f): the 21-point Kronrod abscissae on (-1, 1),
+# from the largest to the centre, and their weights; the 2nd, 4th, ... of
+# them are the abscissae of the 10-point Gauss rule, with weights _WG10.
+_XK21 = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WK21 = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980074700, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# The same on the 21 abscissae in ascending order, -x_1 .. 0 .. x_1: the
+# Kronrod weights and the Gauss weights (0 off the Gauss abscissae).
+_K21_X = np.concatenate([-_XK21[:-1], _XK21[::-1]])
+_K21_W = np.concatenate([_WK21[:-1], _WK21[::-1]])
+_G10_W = np.zeros(21)
+_G10_W[1:10:2] = _WG10
+_G10_W[19:10:-2] = _WG10
+# qk21's floor on an error estimate: 50 eps of the integral of |f|, for
+# integrals of |f| above the smallest normal float / (50 eps).
+_EPS = np.finfo(float).eps
+_ABS_FLOOR_FROM = np.finfo(float).tiny / (50 * _EPS)
+
+
+def _kronrod21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qk21 on each interval (lo[i], hi[i]), with f evaluated once on all
+    of their abscissae: (values, error estimates)."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = centre[:, None] + half[:, None] * _K21_X
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    if not np.all(np.isfinite(fx)):
+        i = np.flatnonzero(~np.isfinite(fx))[0]
+        raise NonFiniteIntegrandError(
+            f"integrand returned {float(fx.flat[i])!r} at x = {float(x.flat[i])!r}")
+    resk, resg = fx @ _K21_W, fx @ _G10_W
+    resabs = np.abs(fx) @ _K21_W * np.abs(half)
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _K21_W * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    scaled = (resasc != 0) & (err != 0)
+    err[scaled] = resasc[scaled] * np.minimum(1.0, (200 * err[scaled] / resasc[scaled]) ** 1.5)
+    err = np.where(resabs > _ABS_FLOOR_FROM, np.maximum(50 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def integrate_gauss_kronrod(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec | None = None,
+) -> tuple[float, float]:
+    """Integrate f over the finite range (a, b) to (value, error_estimate)
+    by adaptive Gauss-Kronrod 10/21 bisection (QUADPACK's qk21 rule and
+    error estimate, without its extrapolation): the interval with the
+    largest estimate is halved until the estimates sum to at most
+    max(abs_tol, rel_tol |value|), over at most ``max_subdivisions``
+    intervals.
+
+    ``f`` maps a 1-D array of abscissae to the array of its values, entry
+    by entry; it gets the 21 abscissae of (a, b), then those of both halves
+    of each bisected interval, in one call."""
+    spec = spec or DEFAULT_QUADRATURE
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValidationError("integration limits must be finite and ascending")
+    if b == a:
+        return 0.0, 0.0
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    values, errs = _kronrod21(f, lo, hi)
+    while (err := float(errs.sum())) > max(spec.abs_tol, spec.rel_tol * abs(values.sum())):
+        if values.size >= spec.max_subdivisions:
+            raise MaxSubdivisionsError(
+                f"the maximum number of subdivisions ({spec.max_subdivisions}) has been "
+                f"achieved with error estimate {err:.3g}")
+        i = int(np.argmax(errs))
+        mid = 0.5 * (lo[i] + hi[i])
+        halves = _kronrod21(f, np.array([lo[i], mid]), np.array([mid, hi[i]]))
+        lo = np.concatenate([np.delete(lo, i), [lo[i], mid]])
+        hi = np.concatenate([np.delete(hi, i), [mid, hi[i]]])
+        values = np.concatenate([np.delete(values, i), halves[0]])
+        errs = np.concatenate([np.delete(errs, i), halves[1]])
+    return float(values.sum()), err

@@ -1,9 +1,13 @@
-"""Shared test utilities: seeded random states and generators, sigma_x, and an
-independent superoperator assembly."""
+"""Shared test utilities: seeded random states and generators, sigma_x, an
+independent superoperator assembly and scipy's RK45 as the reference of
+``numcore.ode_solve``."""
 
 import numpy as np
+import scipy.integrate
 
 from decohere import DensityMatrix, GkslGenerator
+from decohere.errors import OdeError, StepUnderflowError
+from decohere.numcore.ode import DEFAULT_ODE
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -55,3 +59,33 @@ def reference_superoperator(gen: GkslGenerator) -> np.ndarray:
                 - 0.5 * (np.kron(eye, lk_lj) + np.kron(lk_lj.T, eye))
             )
     return s
+
+
+def reference_ode_solve(rhs, y0, t_grid, spec=None):
+    """The states at t_grid of scipy's ``solve_ivp(method="RK45",
+    t_eval=t_grid, first_step=min(initial_step, span))``, the route that
+    ``numcore.ode_solve`` ports, without its step budget; the one-point grid
+    and the error mapping are ``ode_solve``'s."""
+    spec = spec or DEFAULT_ODE
+    t = np.asarray(t_grid, dtype=float)
+    y0 = np.atleast_1d(np.asarray(y0))
+    dtype = np.complex128 if np.iscomplexobj(y0) else np.float64
+    y0 = y0.astype(dtype)
+    if t.size == 1:
+        return y0[None, :]
+    sol = scipy.integrate.solve_ivp(
+        lambda tt, y: np.asarray(rhs(tt, y), dtype=dtype),
+        (t[0], t[-1]),
+        y0,
+        method="RK45",
+        t_eval=t,
+        rtol=spec.rel_tol,
+        atol=spec.abs_tol,
+        first_step=min(spec.initial_step, t[-1] - t[0]),
+    )
+    if not sol.success:
+        message = sol.message or "ODE integration failed"
+        if "step size" in message.lower():
+            raise StepUnderflowError(message)
+        raise OdeError(message)
+    return sol.y.T

@@ -6,6 +6,7 @@ import math
 import sys
 import timeit
 import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -25,14 +26,19 @@ from decohere import (
     integrate_time_dependent,
 )
 from decohere.cli import main, parse_scenario
-from decohere.dephasing import _KERNELS
+from decohere.dephasing import _CROSS_CHECK_SPEC, _KERNELS
 from decohere.errors import (
     NegativeFrequencyError,
     NegativeRateWarning,
     ValidationError,
 )
 from decohere.gksl import _entrywise_kernel
-from decohere.numcore import QuadratureSpec, integrate_panels, panel_layout
+from decohere.numcore import (
+    QuadratureSpec,
+    integrate_adaptive,
+    integrate_panels,
+    panel_layout,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -691,17 +697,70 @@ def test_spectral_prefactor_overflow_is_rejected():
 def test_cross_check_integrates_only_re_alpha(monkeypatch):
     model = DephasingModel(0.0, SpectralDensity(0.7, 1.0, 1.0), BathSpec(2.0))
     t = 1.3
-    by_correlation = model._tau_integral(lambda tau: model.bath_correlation(tau).real, t)
+    by_correlation = model._tau_integral(
+        lambda taus: np.array([model.bath_correlation(tau).real for tau in taus]), t)
     kinds = []
     spectral_integral = DephasingModel._spectral_integral
 
-    def spy(self, kind, tau):
+    def spy(self, kind, taus):
         kinds.append(kind)
-        return spectral_integral(self, kind, tau)
+        assert np.ndim(taus) == 1 and np.size(taus) % 21 == 0  # every tau of a rule, at once
+        return spectral_integral(self, kind, taus)
 
     monkeypatch.setattr(DephasingModel, "_spectral_integral", spy)
     assert model.dephasing_rate_from_correlation(t) == by_correlation
     assert kinds and set(kinds) == {"Re alpha"}
+
+
+@pytest.mark.parametrize("beta", [math.inf, 2.0])
+def test_array_call_is_the_one_t_calls(monkeypatch, beta):
+    # At w_c = 5: t = 0; 0.3, 0.31 and 2.5 on cached layouts; at t = 47
+    # panels 4 w_c / 2^8 wide outnumber max_subdivisions but 2 pi/t wide
+    # ones do not, so 47 gets a layout of its own; at t = 100 neither fits
+    # and the integral falls back to QUADPACK.
+    model = DephasingModel(0.0, SpectralDensity(0.7, 1.0, 5.0), BathSpec(beta))
+    times = np.array([0.3, 0.0, 47.0, 100.0, 0.31, 2.5, 0.3])
+    k47, k100 = model._layout_keys(times[2:4]).tolist()
+    for t, k in ((47.0, k47), (100.0, k100)):
+        per_call = model._folded_layouts(["gamma"], 2 * math.pi / t, model._pole_scale)
+        assert model._panel_layout("gamma", k) is None and (per_call is None) == (t == 100.0)
+    fallbacks = _count_fallbacks(monkeypatch)
+    for kind in _KERNELS:
+        got = model._spectral_integral(kind, times)
+        want = np.array([model._spectral_integral(kind, float(t)) for t in times])
+        assert got.tobytes() == want.tobytes(), kind
+    assert len(fallbacks) == 2 * len(_KERNELS)  # t = 100, array and one-t calls
+
+
+def test_rates_keep_the_shape_of_t():
+    model = DephasingModel(0.0, SpectralDensity(0.7, 2.0, 1.0), BathSpec(0.5))
+    times = np.array([[0.0, 0.4], [1.0, 3.0]])
+    for f in (model.dephasing_rate, model.decoherence_function):
+        assert f(times).shape == (2, 2) and type(f(1.0)) is float and f(0.0) == 0.0
+        assert f(times)[1, 0] == f(1.0)
+    with pytest.raises(ValidationError, match="t must be >= 0"):
+        model.dephasing_rate(np.array([1.0, -1e-9]))
+    with pytest.raises(ValidationError, match="t must be finite"):
+        model.decoherence_function(np.array([1.0, math.inf]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    lam=st.floats(0.01, 3.0),
+    s=st.floats(0.05, 4.0),
+    wc=st.floats(0.2, 5.0),
+    beta=st.one_of(st.just(math.inf), st.floats(0.03, 50.0)),
+    t=st.floats(0.01, 20.0),
+)
+def test_tau_rule_matches_quadpack(lam, s, wc, beta, t):
+    # the two cross-check integrands, by the numpy G10/K21 rule and by
+    # QUADPACK's adaptive route, one tau per call
+    model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
+    for f in (partial(model._spectral_integral, "Re alpha"), model.dephasing_rate):
+        got = model._tau_integral(f, t)
+        want, _ = integrate_adaptive(lambda tau: float(f(np.array([tau]))[0]), 0.0, t,
+                                     _CROSS_CHECK_SPEC)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), f
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -731,9 +790,9 @@ def test_tight_tolerance_falls_back_to_quadpack(monkeypatch):
     panels = decohere.dephasing.integrate_panels
 
     def spy(*args, fallback, **kwargs):
-        def counted():
+        def counted(*rows):
             fallbacks.append(True)
-            return fallback()
+            return fallback(*rows)
 
         return panels(*args, fallback=counted, **kwargs)
 

@@ -267,7 +267,7 @@ def test_integrate_constant_matches_semigroup():
     trajectory = integrate_time_dependent(
         GkslGenerator(gen.hamiltonian),
         GkslGenerator(np.zeros((3, 3)), gen.lindblad_ops, gen.kossakowski),
-        lambda t: 1.0, rho0, t_grid,
+        np.ones_like, rho0, t_grid,
     )
     for t, state in zip(t_grid, trajectory):
         reference = propagate_semigroup(gen, rho0, float(t))
@@ -329,7 +329,7 @@ def test_integrate_trivial_generator_constant_trajectory():
     np.array([[0.0, 1e-5], [1e-5, 0.0]]),  # positivity loss: |+><+| gains eigenvalue -1e-5
 ])
 def test_integrate_drift_is_an_invariant_violation(monkeypatch, defect):
-    def drifting(rhs, y0, t_grid, spec):
+    def drifting(rhs, y0, t_grid, spec, *, before_step):
         return [y0, vec(unvec(y0, 2) + defect)]
 
     monkeypatch.setattr(decohere.gksl.numcore, "ode_solve", drifting)

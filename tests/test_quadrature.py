@@ -12,6 +12,7 @@ from decohere.numcore import (
     PanelRule,
     QuadratureSpec,
     integrate_adaptive,
+    integrate_gauss_kronrod,
     integrate_oscillatory,
     integrate_panels,
     panel_layout,
@@ -101,6 +102,64 @@ def test_max_subdivisions_exhausted():
         integrate_adaptive(
             lambda x: math.sin(50.0 / (x + 0.01)), 0.0, 1.0, tight
         )
+
+
+# ----------------------------------------------------------------------
+# Gauss-Kronrod 10/21 bisection over arrays of abscissae
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("f, upper, exact", [
+    (lambda w: np.exp(-w), UPPER, 1.0),
+    (lambda w: np.exp(-w) * np.sin(w), UPPER, 0.5),
+    (lambda w: np.exp(-w) * 2.0 * np.sin(0.5 * w) ** 2 / w, UPPER, 0.5 * math.log(2.0)),
+    (np.sqrt, 1.0, 2.0 / 3.0),
+    (lambda w: 1.0 / np.sqrt(w), 1.0, 2.0),
+], ids=["exponential", "damped-sine", "frullani", "sqrt", "inverse-sqrt"])
+def test_gauss_kronrod_against_closed_forms(f, upper, exact):
+    value, err = integrate_gauss_kronrod(f, 0.0, upper)
+    assert abs(value - exact) < 1e-10
+    assert err <= max(1e-10, 1e-10 * abs(value))
+
+
+def test_gauss_kronrod_hands_f_whole_rules():
+    # the 21 abscissae of (a, b), then the 42 of both halves of each
+    # bisected interval, each as one array
+    sizes = []
+
+    def f(x):
+        sizes.append(x.shape)
+        return np.cos(30.0 * x)
+
+    value, _ = integrate_gauss_kronrod(f, 0.0, 10.0)
+    assert abs(value - math.sin(300.0) / 30.0) < 1e-10
+    assert sizes[0] == (21,) and len(sizes) > 1 and set(sizes[1:]) == {(42,)}
+
+
+def test_gauss_kronrod_zero_width_and_limits():
+    assert integrate_gauss_kronrod(np.exp, 2.0, 2.0) == (0.0, 0.0)
+    for a, b in ((0.0, math.inf), (1.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValidationError):
+            integrate_gauss_kronrod(np.exp, a, b)
+
+
+def _each(f):
+    """A scalar integrand as an array one, entry by entry."""
+    return lambda x: np.array([f(float(u)) for u in x])
+
+
+@pytest.mark.parametrize("route", [
+    integrate_adaptive,
+    lambda f, a, b, spec=None: integrate_gauss_kronrod(_each(f), a, b, spec),
+], ids=["quadpack", "gauss-kronrod"])
+def test_both_adaptive_routes_raise_the_same_errors(route):
+    with pytest.raises(NonFiniteIntegrandError):
+        route(lambda x: float("nan"), 0.0, 1.0)
+    with pytest.raises(NonFiniteIntegrandError):  # a pole at the centre abscissa
+        route(lambda x: 1.0 / (x - 0.5) if x != 0.5 else math.inf, 0.0, 1.0)
+    tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)
+    with pytest.raises(MaxSubdivisionsError):
+        route(lambda x: math.sin(50.0 / (x + 0.01)), 0.0, 1.0, tight)
 
 
 def test_infinite_limits_are_rejected():
@@ -199,6 +258,31 @@ def test_integrate_panels_falls_back():
     # non-finite integrand values
     nan = lambda w: np.where(w > 3.0, np.nan, 1.0)  # noqa: E731
     assert integrate_panels(nan, layout, fallback=fallback) == sentinel
+
+
+def test_integrate_panels_falls_back_row_by_row():
+    # a stack of integrands, one per t: each is summed as it would be alone,
+    # and only the row whose values are not finite takes the fallback
+    layout = panel_layout(PanelRule(0.0), 40.0, 1.0, 2048)
+    times = np.array([0.5, 1.0, 3.0])
+
+    def g(w):
+        values = np.exp(-w) * np.sin(times[:, None, None] * w)
+        values[1, 0, 0] = np.nan
+        return values
+
+    rows = []
+
+    def fallback(missed):
+        rows.append(missed.tolist())
+        return np.array([[123.0], [0.0]])
+
+    value, err = integrate_panels(g, layout, fallback=fallback)
+    assert rows == [[1]] and value[1] == 123.0 and err[1] == 0.0
+    for i in (0, 2):
+        one = integrate_panels(lambda w: np.exp(-w) * np.sin(times[i] * w), layout,
+                               fallback=_no_fallback)
+        assert (value[i], err[i]) == one
 
 
 def test_integrate_panels_validates_its_ranges():
