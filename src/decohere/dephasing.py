@@ -22,10 +22,12 @@ Conventions (pinned here, used consistently everywhere):
   exact solution and with gamma(t) = integral of J(w) coth(beta w/2)
   sin(w t)/w dw.
 
-The spectral integrals gamma, Gamma and the real and imaginary parts of
-the bath correlation alpha differ only in their weight, J or J coth, and
-their kernel k(w, t); each is one entry of ``_KERNELS``, which both the
-panel rule and its QUADPACK fallback read on (0, cutoff); at zero coupling each is 0.
+The spectral integrals gamma, Gamma and the real part of the bath
+correlation alpha share the weight J coth and differ only in their kernel
+k(w, t); each is one entry of ``_KERNELS``, which both the panel rule and
+its QUADPACK fallback read on (0, cutoff); at zero coupling each is 0.  The
+imaginary part of alpha, the integral of J alone, does not depend on the
+temperature and is taken from its closed form.
 The panel rule folds the weight and the kernel's t-independent factor into
 its Gauss weights once per layout, so each integral costs one sin or cos
 per node.  The integrals take an array of t, and the t that share a layout
@@ -46,7 +48,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NegativeFrequencyError, NegativeRateWarning, ValidationError
+from .errors import NegativeRateWarning, ValidationError
 from .gksl import SIGMA_Z, DensityMatrix, GkslGenerator, Superoperator, integrate_time_dependent
 from .numcore import (
     DEFAULT_QUADRATURE,
@@ -69,19 +71,18 @@ _CROSS_CHECK_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-11)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-# Every spectral integral is the integral over w in (0, inf) of a weight,
-# J(w) coth(beta w/2) (thermal) or J(w), times a kernel
-# k(w, t) = c o(w, t) / w^m, as kind: (thermal, c, o, (trig, m)).
+# Every spectral integral is the integral over w in (0, inf) of the weight
+# J(w) coth(beta w/2) times a kernel k(w, t) = c o(w, t) / w^m, as
+# kind: (c, o, (trig, m)).
 # The panel rule folds c / w^m into its weights once per layout and
 # evaluates only o, one sin or cos per node, at each t; the head of the
 # QUADPACK fallback evaluates the whole kernel, and (trig, m) is the same
 # k as trig(w t) / w^m, the form integrate_oscillatory takes.  No o
 # cancels at w > 0: 1 - cos(w t) is written as 2 sin(w t/2)^2.
 _KERNELS = {
-    "gamma": (True, 1.0, lambda w, t: np.sin(t * w), ("sin", 1)),
-    "Gamma": (True, 2.0, lambda w, t: np.sin(0.5 * t * w) ** 2, ("1-cos", 2)),
-    "Re alpha": (True, 1.0, lambda w, t: np.cos(t * w), ("cos", 0)),
-    "Im alpha": (False, 1.0, lambda w, t: np.sin(t * w), ("sin", 0)),
+    "gamma": (1.0, lambda w, t: np.sin(t * w), ("sin", 1)),
+    "Gamma": (2.0, lambda w, t: np.sin(0.5 * t * w) ** 2, ("1-cos", 2)),
+    "Re alpha": (1.0, lambda w, t: np.cos(t * w), ("cos", 0)),
 }
 
 
@@ -115,18 +116,6 @@ class SpectralDensity:
             raise ValidationError("spectral weight coupling * omega_c^2 * Gamma(s + 1) overflows")
         object.__setattr__(self, "_prefactor", prefactor)
 
-    def __call__(self, omega: float) -> float:
-        if omega < 0:
-            raise NegativeFrequencyError(f"spectral density needs omega >= 0, got {omega}")
-        if omega == 0.0:
-            return 0.0
-        return (
-            self.coupling
-            * omega**self.s
-            * self.omega_c ** (1.0 - self.s)
-            * math.exp(-omega / self.omega_c)
-        )
-
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -141,15 +130,6 @@ class BathSpec:
     @property
     def zero_temperature(self) -> bool:
         return math.isinf(self.beta)
-
-    def thermal_factor(self, omega: float) -> float:
-        """coth(beta*omega/2), or 1 exactly at zero temperature; the pole
-        of coth gives +inf at omega = 0."""
-        if self.zero_temperature:
-            return 1.0
-        if omega == 0.0:
-            return math.inf
-        return 1.0 / math.tanh(0.5 * self.beta * omega)
 
     def thermal_weight(self, omega: np.ndarray) -> np.ndarray:
         """omega * coth(beta*omega/2) on an array, taking its limit 2/beta
@@ -214,8 +194,11 @@ class DephasingModel:
                            _cutoff(self.spectral, self.bath, self.quadrature.abs_tol))
 
     def _thermal(self, w: float) -> float:
-        """J(w) * coth(beta w / 2), the temperature-dressed spectral weight."""
-        return self.spectral(w) * self.bath.thermal_factor(w)
+        """J(w) * coth(beta w / 2) at one w > 0, the weight of the QUADPACK
+        fallback (coth is 1 at T = 0)."""
+        j, beta = self.spectral, self.bath.beta
+        density = j.coupling * w**j.s * j.omega_c ** (1.0 - j.s) * math.exp(-w / j.omega_c)
+        return density * (1.0 if self.bath.zero_temperature else 1.0 / math.tanh(0.5 * beta * w))
 
     # -- spectral integrals ------------------------------------------------
     #
@@ -238,7 +221,7 @@ class DephasingModel:
 
     @cached_property
     def _layouts(self) -> dict:
-        """(thermal, k) -> {kind: folded PanelLayout} for panels of width
+        """k -> {kind: folded PanelLayout} for panels of width
         4 wc / 2^k, or None where they would outnumber max_subdivisions;
         filled by :meth:`_panel_layout`."""
         return {}
@@ -249,66 +232,47 @@ class DephasingModel:
         i k/beta (inf at T = 0): the head width of every layout."""
         return math.inf if self.bath.zero_temperature else 2 * math.pi / self.bath.beta
 
-    def _panel_weight(self, w: np.ndarray, thermal: bool) -> np.ndarray:
-        """J(w) coth(beta w/2) / w^p (thermal) or J(w) / w^p for the panel
-        rule's power p, smooth on [0, inf)."""
+    def _panel_weight(self, w: np.ndarray) -> np.ndarray:
+        """J(w) coth(beta w/2) / w^p for the panel rule's power p, smooth
+        on [0, inf)."""
         j = self.spectral
         envelope = j._prefactor * np.exp(w * (-1.0 / j.omega_c))
         if self.bath.zero_temperature:
             return envelope
-        return envelope * (self.bath.thermal_weight(w) if thermal else w)
+        return envelope * self.bath.thermal_weight(w)
 
-    def _folded_layouts(self, kinds, width: float, head_width: float) -> dict | None:
-        """{kind: layout} on panels no wider than ``width`` for the kinds
-        of one weight, with the weight J / w^p or J coth / w^p and the
-        kernel's c w^(-m) folded into the Gauss weights; None when the
-        panels would outnumber max_subdivisions."""
-        thermal = _KERNELS[kinds[0]][0]
+    def _folded_layouts(self, kinds, width: float) -> dict | None:
+        """{kind: layout} on panels no wider than ``width``, with the
+        weight J coth / w^p and the kernel's c w^(-m) folded into the Gauss
+        weights; None when the panels would outnumber max_subdivisions."""
         layout = panel_layout(self._panel_rule, self.cutoff, width,
-                              self.quadrature.max_subdivisions, head_width=head_width)
+                              self.quadrature.max_subdivisions, head_width=self._pole_scale)
         if layout is None:
             return None
-        weighted = layout.folded(self._panel_weight(layout.nodes, thermal))
+        weighted = layout.folded(self._panel_weight(layout.nodes))
         folded = {}
         for kind in kinds:
-            _, c, _, (_, m) = _KERNELS[kind]
+            c, _, (_, m) = _KERNELS[kind]
             folded[kind] = weighted.folded(c / layout.nodes**m)
         return folded
 
-    @cached_property
-    def _key_bounds(self) -> np.ndarray:
-        """T_k for k = 0 .. 1023: the largest t at which 4 wc / 2^k <=
-        2 pi/t holds, compared in floats.  2 pi/t does not grow with t, so
-        the comparison holds exactly for t <= T_k; each T_k is stepped, one
-        float at a time, from the estimate 2 pi 2^k / (4 wc)."""
-        widths = np.ldexp(4.0 * self.spectral.omega_c, -np.arange(1024))
-        with np.errstate(divide="ignore", over="ignore"):
-            bounds = 2 * math.pi / widths
-            while not (fits := widths <= 2 * math.pi / bounds).all():
-                bounds = np.where(fits, bounds, np.nextafter(bounds, 0.0))
-            while True:
-                above = np.nextafter(bounds, math.inf)
-                up = (above > bounds) & (widths <= 2 * math.pi / above)
-                if not up.any():
-                    return bounds
-                bounds = np.where(up, above, bounds)
-
     def _layout_keys(self, t: np.ndarray) -> np.ndarray:
-        """For each t >= 0, the smallest k >= 0 with 4 wc / 2^k <= 2 pi/t
-        (0 at t = 0): the number of :attr:`_key_bounds` below t."""
-        return np.searchsorted(self._key_bounds, t)
+        """For each t >= 0, the smallest k >= 0 with 4 wc / 2^k <= 2 pi/t,
+        compared in floats.  With 4 wc = m 2^e and 2 pi/t = n 2^f, m and n
+        in [0.5, 1), the comparison holds from k = e - f + (m > n) on; a
+        2 pi/t past the largest float (t = 0 among them) gives k = 0."""
+        m, e = math.frexp(4.0 * self.spectral.omega_c)
+        with np.errstate(divide="ignore", over="ignore"):
+            n, f = np.frexp(np.minimum(2 * math.pi / t, sys.float_info.max))
+        return np.maximum(0, e - f + (m > n))
 
     def _panel_layout(self, kind: str, k: int):
         """The folded layout of ``kind`` on panels of width 4 wc / 2^k,
-        built once for every kind of its weight; None when it would need
-        more than max_subdivisions panels."""
-        thermal = _KERNELS[kind][0]
-        key = (thermal, k)
-        if key not in self._layouts:
-            kinds = [name for name, entry in _KERNELS.items() if entry[0] == thermal]
-            self._layouts[key] = self._folded_layouts(
-                kinds, 4.0 * self.spectral.omega_c / 2**k, self._pole_scale)
-        folded = self._layouts[key]
+        built once for every kind; None when it would need more than
+        max_subdivisions panels."""
+        if k not in self._layouts:
+            self._layouts[k] = self._folded_layouts(_KERNELS, 4.0 * self.spectral.omega_c / 2**k)
+        folded = self._layouts[k]
         return None if folded is None else folded[kind]
 
     def _spectral_integral(self, kind: str, t):
@@ -338,8 +302,7 @@ class DephasingModel:
                 out[rows] = self._panel_integrals(kind, layout, flat[rows])
                 continue
             for i in np.flatnonzero(rows):  # too many panels: 2 pi/t may need fewer, for this t alone
-                exact = self._folded_layouts([kind], 2 * math.pi / flat[i],
-                                             self._pole_scale) if k else None
+                exact = self._folded_layouts([kind], 2 * math.pi / flat[i]) if k else None
                 layout = None if exact is None else exact[kind]
                 out[i] = self._panel_integrals(kind, layout, flat[i:i + 1])[0]
         return out.reshape(times.shape) if times.ndim else float(out[0])
@@ -348,14 +311,13 @@ class DephasingModel:
         """The integral ``kind`` at each of ``times`` by the panel rule on
         ``layout``, or by QUADPACK for each t whose estimate misses (for
         every t when the layout is None)."""
-        thermal, c, oscillation, (trig, m) = _KERNELS[kind]
-        weight = self._thermal if thermal else self.spectral
+        c, oscillation, (trig, m) = _KERNELS[kind]
         spec = self.quadrature
 
         def quadpack(rows=None):
             pairs = [integrate_oscillatory(
-                lambda w: weight(w) / w**m, trig, t, self.cutoff, spec,
-                head=lambda w, t=t: c * weight(w) * oscillation(w, t) / w**m,
+                lambda w: self._thermal(w) / w**m, trig, t, self.cutoff, spec,
+                head=lambda w, t=t: c * self._thermal(w) * oscillation(w, t) / w**m,
                 breakpoints=(self._pole_scale,),
             ) for t in (times if rows is None else times[rows]).tolist()]
             return np.array(pairs).reshape(-1, 2).T
@@ -377,11 +339,19 @@ class DephasingModel:
     def bath_correlation(self, t: float) -> complex:
         """alpha(t): real part integral of J(w) coth(beta w/2) cos(w t),
         imaginary part -integral of J(w) sin(w t), over w in (0, inf).
-        Even real part, odd imaginary part in t."""
+        Even real part, odd imaginary part in t.  The imaginary part has
+        the closed form -coupling wc^2 Gamma(s+1) (1 + x^2)^(-(s+1)/2)
+        sin((s+1) atan x) at x = wc t, whose factors are summed in logs
+        because each alone may overflow."""
         if not math.isfinite(t):
             raise ValidationError("t must be finite")
         real = self._spectral_integral("Re alpha", abs(t))
-        imag = self._spectral_integral("Im alpha", abs(t))
+        j, x = self.spectral, self.spectral.omega_c * abs(t)
+        imag = 0.0
+        if j.coupling > 0:
+            imag = math.exp(math.log(j.coupling) + 2.0 * math.log(j.omega_c)
+                            + math.lgamma(j.s + 1.0) - 0.5 * (j.s + 1.0) * math.log1p(x * x)
+                            ) * math.sin((j.s + 1.0) * math.atan(x))
         return complex(real, -imag if t > 0 else imag)
 
     # -- dephasing rate gamma(t) ----------------------------------------

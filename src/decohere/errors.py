@@ -23,10 +23,6 @@ class NotHermitianError(ValidationError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class NegativeFrequencyError(ValidationError):
-    """Spectral density evaluated at a negative frequency."""
-
-
 class ZeroMomentumTransferError(ValidationError):
     """Structure factor evaluated at q = 0."""
 

@@ -119,10 +119,10 @@ def ode_solve(
     y0 = np.atleast_1d(np.asarray(y0))
     dtype = np.complex128 if np.iscomplexobj(y0) else np.float64
     y0 = y0.astype(dtype)
-    if t.size == 1:
-        return y0[None, :]
     if y0.ndim != 1 or y0.size == 0 or not np.all(np.isfinite(y0)):
         raise ValidationError("y0 must be a finite, non-empty 1-D array")
+    if t.size == 1:
+        return y0[None, :]
 
     budget = spec.max_steps * _EVALS_PER_STEP + 10
     nfev = 0

@@ -1,6 +1,8 @@
 """Shared test utilities: seeded random states and generators, sigma_x, an
-independent superoperator assembly and scipy's RK45 as the reference of
-``numcore.ode_solve``."""
+independent superoperator assembly, scipy's RK45 as the reference of
+``numcore.ode_solve`` and a tabulated search for the dephasing layout keys."""
+
+import math
 
 import numpy as np
 import scipy.integrate
@@ -89,3 +91,28 @@ def reference_ode_solve(rhs, y0, t_grid, spec=None):
             raise StepUnderflowError(message)
         raise OdeError(message)
     return sol.y.T
+
+
+def key_bounds(omega_c):
+    """T_k for k = 0 .. 1023: the largest t at which 4 wc / 2^k <= 2 pi/t
+    holds, compared in floats.  2 pi/t does not grow with t, so the
+    comparison holds exactly for t <= T_k; each T_k is stepped, one float
+    at a time, from the estimate 2 pi 2^k / (4 wc)."""
+    widths = np.ldexp(4.0 * omega_c, -np.arange(1024))
+    with np.errstate(divide="ignore", over="ignore"):
+        bounds = 2 * math.pi / widths
+        while not (fits := widths <= 2 * math.pi / bounds).all():
+            bounds = np.where(fits, bounds, np.nextafter(bounds, 0.0))
+        while True:
+            above = np.nextafter(bounds, math.inf)
+            up = (above > bounds) & (widths <= 2 * math.pi / above)
+            if not up.any():
+                return bounds
+            bounds = np.where(up, above, bounds)
+
+
+def reference_layout_keys(omega_c, t):
+    """For each t >= 0, the smallest k >= 0 with 4 wc / 2^k <= 2 pi/t in
+    floats (0 at t = 0), as the number of :func:`key_bounds` below t: the
+    reference of ``DephasingModel._layout_keys``."""
+    return np.searchsorted(key_bounds(omega_c), t)

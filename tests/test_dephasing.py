@@ -12,6 +12,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from helpers import key_bounds, reference_layout_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +28,7 @@ from decohere import (
 )
 from decohere.cli import main, parse_scenario
 from decohere.dephasing import _CROSS_CHECK_SPEC, _KERNELS
-from decohere.errors import (
-    NegativeFrequencyError,
-    NegativeRateWarning,
-    ValidationError,
-)
+from decohere.errors import NegativeRateWarning, ValidationError
 from decohere.gksl import _entrywise_kernel
 from decohere.numcore import (
     QuadratureSpec,
@@ -56,27 +53,6 @@ def ohmic_zero_t(omega0=0.0, coupling=1.0, s=1.0, omega_c=1.0):
 # ----------------------------------------------------------------------
 
 
-def test_spectral_vanishes_at_zero():
-    assert SpectralDensity(1.0, 1.0, 1.0)(0.0) == 0.0
-    assert SpectralDensity(1.0, 0.5, 2.0)(0.0) == 0.0
-
-
-def test_spectral_ohmic_value():
-    assert abs(SpectralDensity(1.0, 1.0, 1.0)(1.0) - math.exp(-1.0)) < 1e-15
-
-
-def test_spectral_linear_in_coupling():
-    j1 = SpectralDensity(1.0, 1.0, 1.0)
-    j2 = SpectralDensity(2.0, 1.0, 1.0)
-    for w in (0.1, 1.0, 7.3):
-        assert abs(j2(w) - 2.0 * j1(w)) < 1e-15
-
-
-def test_spectral_rejects_negative_frequency():
-    with pytest.raises(NegativeFrequencyError):
-        SpectralDensity(1.0, 1.0, 1.0)(-0.5)
-
-
 def test_spectral_parameter_validation():
     with pytest.raises(ValidationError):
         SpectralDensity(-1.0, 1.0, 1.0)
@@ -89,13 +65,15 @@ def test_spectral_parameter_validation():
 def test_bath_validation_and_thermal_factor():
     with pytest.raises(ValidationError):
         BathSpec(0.0)
-    assert BathSpec(math.inf).thermal_factor(3.0) == 1.0
-    assert abs(BathSpec(2.0).thermal_factor(1.0) - 1.0 / math.tanh(1.0)) < 1e-15
+    # the fallback's weight J(w) coth(beta w/2): coth is 1 exactly at T = 0
+    j = SpectralDensity(1.0, 1.0, 1.0)
+    assert DephasingModel(0.0, j, BathSpec(math.inf))._thermal(1.0) == math.exp(-1.0)
+    hot = DephasingModel(0.0, j, BathSpec(2.0))._thermal(1.0)
+    assert abs(hot - math.exp(-1.0) / math.tanh(1.0)) < 1e-15
 
 
 def test_thermal_factor_pole_and_thermal_weight_limit():
     bath = BathSpec(2.0)
-    assert bath.thermal_factor(0.0) == math.inf
     w = np.array([0.0, 1e-300, 1e-8, 0.3, 40.0])
     weight = bath.thermal_weight(w)
     assert np.all(np.isfinite(weight))
@@ -119,6 +97,29 @@ def test_correlation_imaginary_part_closed_form():
     # -integral of w e^{-w} sin(w) dw = -2ab/(a^2+b^2)^2 at a = b = 1
     alpha = ohmic_zero_t().bath_correlation(1.0)
     assert abs(alpha.imag + 0.5) < 1e-10
+
+
+@pytest.mark.parametrize("beta", [math.inf, 0.7])
+def test_correlation_imaginary_part_against_mpmath(monkeypatch, beta):
+    # Im alpha(t) = coupling wc^2 Gamma(s+1) Im (1 + i wc t)^-(s+1), the
+    # same at every temperature, in 40 digits, within 1e-12 of its envelope
+    # coupling wc^2 Gamma(s+1) (1 + (wc t)^2)^(-(s+1)/2)
+    # (the real part is not under test: at s = 20 its integral is of order
+    # 1e18, and at coupling 1e-300 and s = 250 its quadrature overflows)
+    monkeypatch.setattr(DephasingModel, "_spectral_integral", lambda model, kind, t: 0.0)
+    cases = [(0.8, s, wc) for s in (0.05, 0.5, 1.0, 2.5, 7.0, 20.0) for wc in (0.3, 4.0)]
+    for lam, s, wc in [*cases, (1e-300, 250.0, 1.0)]:
+        model = DephasingModel(0.0, SpectralDensity(lam, s, wc), BathSpec(beta))
+        for t in (0.0, 0.01, -0.3, 1.7, -12.0, 300.0):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(wc) * mpmath.mpf(t)
+                scale = mpmath.mpf(lam) * mpmath.mpf(wc) ** 2 * mpmath.gamma(mpmath.mpf(s) + 1)
+                want = scale * (mpmath.mpc(1, x) ** -(mpmath.mpf(s) + 1)).imag
+                envelope = scale * (1 + x**2) ** (-(mpmath.mpf(s) + 1) / 2)
+                error = abs(model.bath_correlation(t).imag - want)
+            # plus two subnormal spacings: at coupling 1e-300, s = 250 and
+            # t = 300 the value, 4e-430, underflows to 0
+            assert error <= 1e-12 * envelope + 2 * 2.0**-1074, (lam, s, wc, t)
 
 
 def test_correlation_zero_temperature_is_large_beta_limit():
@@ -560,16 +561,29 @@ def test_panel_rule_and_fallback_integrate_the_same_range(monkeypatch, s):
     model.bath_correlation(0.8)
     model.dephasing_rate(0.8)
     model.decoherence_function(0.8)
-    assert uppers == [(route, model.cutoff) for _ in range(4) for route in ("panels", "fallback")]
+    assert uppers == [(route, model.cutoff) for _ in range(3) for route in ("panels", "fallback")]
+
+
+def test_layout_keys_match_the_tabulated_search():
+    # on random t, and on every bound T_k of the table and its two float
+    # neighbours, where the float comparison 4 wc / 2^k <= 2 pi/t flips
+    rng = np.random.default_rng(11)
+    for wc in (1e-3, 0.37, 1.0, 1.3, 5.0, 1e3, *rng.uniform(0.05, 20.0, 4)):
+        model = DephasingModel(0.0, SpectralDensity(0.7, 1.0, wc), BathSpec(math.inf))
+        bounds = key_bounds(wc)
+        bounds = bounds[bounds < np.finfo(float).max]
+        tiny = [0.0, 5e-324, 1e-310, 3e-308, 4e-308]  # 2 pi/t overflows below 3.5e-308
+        t = np.concatenate([tiny, np.exp(rng.uniform(-30.0, 30.0, 2000)), bounds,
+                            np.nextafter(bounds, 0.0), np.nextafter(bounds, math.inf)])
+        assert np.array_equal(model._layout_keys(t), reference_layout_keys(wc, t)), wc
 
 
 def _by_width(model, kind, t, width):
     """The panel rule for the integral ``kind`` at t on panels no wider than
     ``width``, laid out and folded for this call alone: (value, integral of
     |w^p g|), or None where the rule would fall back."""
-    oscillation = _KERNELS[kind][2]
-    pole_scale = math.inf if model.bath.zero_temperature else 2 * math.pi / model.bath.beta
-    folded = model._folded_layouts([kind], width, pole_scale)
+    oscillation = _KERNELS[kind][1]
+    folded = model._folded_layouts([kind], width)
     if folded is None:  # too many panels
         return None
     layout, terms = folded[kind], []
@@ -652,11 +666,11 @@ def test_zero_temperature_sweep_falls_back_no_more_than_per_call_layouts(monkeyp
 
 
 def test_finite_temperature_scan_falls_back_only_without_a_layout(monkeypatch):
-    # 7 s x 3 wc x 4 beta x 15 t x 4 kinds; coupling 0.5 / Gamma(s) keeps the
+    # 7 s x 3 wc x 4 beta x 15 t x 3 kinds; coupling 0.5 / Gamma(s) keeps the
     # integral of J, 0.5 s wc^2, moderate.  Only where even panels 2 pi/t
     # wide outnumber max_subdivisions does the rule fall back: at s = 20 and
     # wc = 5 the derived cutoff is 72 wc, 2869 such panels at t = 50, so at
-    # most 4 beta x 4 kinds = 16 integrals.  Every 7th integral is checked
+    # most 4 beta x 3 kinds = 12 integrals.  Every 7th integral is checked
     # against the QUADPACK route.
     fallbacks, sampled = _count_fallbacks(monkeypatch), []
     for s in (0.3, 0.5, 1.0, 2.0, 3.0, 6.0, 20.0):
@@ -672,7 +686,7 @@ def test_finite_temperature_scan_falls_back_only_without_a_layout(monkeypatch):
                         assert panel_layout(model._panel_rule, model.cutoff, 2 * math.pi / t,
                                             model.quadrature.max_subdivisions,
                                             head_width=2 * math.pi / beta) is None
-    assert len(sampled) == 5040 and len(fallbacks) <= 16
+    assert len(sampled) == 3780 and len(fallbacks) <= 12
     with _quadpack_route():
         for model, kind, t, value in sampled[::7]:
             want = model._spectral_integral(kind, t)
@@ -691,7 +705,8 @@ def test_spectral_prefactor_overflow_is_rejected():
         SpectralDensity(1.0, 400.0, 1e3)
     with pytest.raises(ValidationError, match="spectral weight"):
         SpectralDensity(1.0, 400.0, 1.0)
-    assert SpectralDensity(0.0, 400.0, 1e3)(1.0) == 0.0
+    zero = DephasingModel(0.0, SpectralDensity(0.0, 400.0, 1e3), BathSpec(math.inf))
+    assert zero.dephasing_rate(1.0) == 0.0 and zero.bath_correlation(1.0) == 0.0
 
 
 def test_cross_check_integrates_only_re_alpha(monkeypatch):
@@ -722,7 +737,7 @@ def test_array_call_is_the_one_t_calls(monkeypatch, beta):
     times = np.array([0.3, 0.0, 47.0, 100.0, 0.31, 2.5, 0.3])
     k47, k100 = model._layout_keys(times[2:4]).tolist()
     for t, k in ((47.0, k47), (100.0, k100)):
-        per_call = model._folded_layouts(["gamma"], 2 * math.pi / t, model._pole_scale)
+        per_call = model._folded_layouts(["gamma"], 2 * math.pi / t)
         assert model._panel_layout("gamma", k) is None and (per_call is None) == (t == 100.0)
     fallbacks = _count_fallbacks(monkeypatch)
     for kind in _KERNELS:

@@ -69,9 +69,11 @@ def test_grid_must_ascend():
 @pytest.mark.parametrize("y0", [[], [[1.0, 0.0]], [1.0, math.nan]],
                          ids=["empty", "2-d", "nan"])
 def test_initial_state_must_be_finite_non_empty_1d(y0):
-    # rejected before the first step, with a typed error
-    with pytest.raises(ValidationError, match="y0 must be"):
-        ode_solve(lambda tt, y: -y, y0, [0.0, 1.0])
+    # rejected before the first step, with a typed error; a one-point grid
+    # takes no step, and is still no way round the check
+    for t_grid in ([0.0, 1.0], [0.0]):
+        with pytest.raises(ValidationError, match="y0 must be"):
+            ode_solve(lambda tt, y: -y, y0, t_grid)
 
 
 def test_max_steps_budget():

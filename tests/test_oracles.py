@@ -68,9 +68,9 @@ def _cutoff_ten_omega_c(monkeypatch):
 
 def _thermal_weight_scaled(monkeypatch):
     # J coth(beta w/2) scaled by 1.01 in both the panel rule and its fallback
-    weight, factor = BathSpec.thermal_weight, BathSpec.thermal_factor
+    weight, thermal = BathSpec.thermal_weight, DephasingModel._thermal
     monkeypatch.setattr(BathSpec, "thermal_weight", lambda bath, w: 1.01 * weight(bath, w))
-    monkeypatch.setattr(BathSpec, "thermal_factor", lambda bath, w: 1.01 * factor(bath, w))
+    monkeypatch.setattr(DephasingModel, "_thermal", lambda model, w: 1.01 * thermal(model, w))
 
 
 ROWS = [
@@ -90,14 +90,16 @@ ROWS = [
     pytest.param("dephasing_ohmic_zero_temperature", {"parameters": {"bath": {"beta": 2.0}}},
                  _thermal_weight_scaled, "decoherence_function_two_forms",
                  id="dephasing-thermal-weight",
-                 marks=pytest.mark.xfail(strict=True, reason="common-mode spectral "
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                         reason="common-mode spectral "
                                          "mutation: needs an independent series residual")),
     # gamma off by up to 2e-3 at s = 4, but the two-form routes truncate alike
     pytest.param("dephasing_ohmic_zero_temperature",
                  {"parameters": {"spectral": {"coupling": 0.05, "s": 4.0, "omega_c": 1.0}},
                   "time": {"n_points": 21}},
                  _cutoff_ten_omega_c, "gamma_two_forms", id="dephasing-short-cutoff",
-                 marks=[pytest.mark.xfail(strict=True, reason="common-mode spectral "
+                 marks=[pytest.mark.xfail(strict=True, raises=AssertionError,
+                                          reason="common-mode spectral "
                                           "mutation: needs the Gamma-function series residual "
                                           "(ROADMAP item 2)"),
                         # at s = 4 and T = 0 gamma turns negative
